@@ -183,17 +183,16 @@ def cmd_sweep(args) -> int:
     if "dims" not in resolved:
         raise CliError("sweep: missing required parameter 'dims'")
     kind = resolved.setdefault("kind", "rate")
-    # thread count changes execution, never results; keep it out of the
-    # reproducibility manifest
-    threads = int(resolved.pop("threads", 1))
+    # --threads is accepted for compatibility and ignored; keep it out of the
+    # reproducibility manifest so manifests match whatever value is passed
+    resolved.pop("threads", None)
     spec = _spec_from(resolved)
     if kind == "rate":
-        rows = run_rate_experiment(spec, threads=threads)
+        rows = run_rate_experiment(spec)
     elif kind == "support":
-        rows = run_support_experiment(spec, threads=threads)
+        rows = run_support_experiment(spec)
     elif kind == "tuning":
-        ratios = tuple(resolved.get("rho-ratios", [1.0]))
-        rows = tuning_sweep(spec, rho_ratios=ratios, threads=threads)
+        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.get("rho-ratios", [1.0])))
     else:
         raise CliError(f"unknown sweep kind {kind!r}")
     out = _out_dir(args)
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
         p.add_argument("--out", help="output directory (default: cwd)")
 
     g = sub.add_parser("generate", help="generate truth factors and samples")
@@ -284,6 +283,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # bad input found below the CLI (invalid dims, too many edges, negative
+        # rho, a non-PD truth): one line and exit 1, never a traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

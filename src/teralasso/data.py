@@ -245,4 +245,6 @@ def read_ktns(path) -> DataTensorSet:
     if len(payload) != expected:
         raise ValueError(f"truncated .ktns payload: {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(n, dims.p)
+    if not np.isfinite(values).all():
+        raise ValueError(".ktns payload holds non-finite values")
     return DataTensorSet(dims, values.copy())

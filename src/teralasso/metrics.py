@@ -129,6 +129,8 @@ def estimation_errors(truth: FactorSet, est: FactorSet) -> dict:
 
 def effective_sample_size(dims: Dims, n: int) -> float:
     """n * min_k m_k / log p (natural log)."""
+    if dims.p < 2:
+        raise ValueError("effective sample size needs p > 1")
     return n * min(dims.ms) / math.log(dims.p)
 
 
@@ -184,51 +186,52 @@ def _trial_seed(spec: ExperimentSpec, *indices: int) -> int:
     return s
 
 
-def _map(fn, items, threads: int = 1):
-    """Deterministic map: results in input order regardless of thread count."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+def _cells(spec: ExperimentSpec, n: int, configs, score) -> list[list]:
+    """Score every solver config on each trial's data set, drawn once per trial.
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    Returns ``score(truth, est)`` as ``[config][trial]`` lists in input order.
+    """
+    out = [[] for _ in configs]
+    for t in range(spec.trials):
+        seed = _trial_seed(spec, n, t)
+        truth = make_truth(spec, seed)
+        gram = gram_factors(sample_ksum_gaussian(truth, n, seed))
+        for scores, cfg in zip(out, configs):
+            est, _ = solve(gram, n=n, config=cfg)
+            scores.append(score(truth, est))
+    return out
 
 
-def _fit(gram, n, rho_bar, max_iter):
-    cfg = SolverConfig(rho_bar=rho_bar, max_iter=max_iter)
-    est, _ = solve(gram, n=n, config=cfg)
-    return est
+def _rho_bar_configs(spec: ExperimentSpec) -> list[SolverConfig]:
+    return [SolverConfig(rho_bar=rb, max_iter=spec.max_iter) for rb in spec.rho_grid]
 
 
-def run_rate_experiment(spec: ExperimentSpec, threads: int = 1) -> list[dict]:
+def _means(results) -> list[float]:
+    """Column means of a trial-ordered list of score tuples."""
+    return [float(np.mean(col)) for col in zip(*results)]
+
+
+def run_rate_experiment(spec: ExperimentSpec) -> list[dict]:
     """Mean relative Frobenius error per n-cell, with oracle-tuned rho_bar.
 
     For each cell the rho_bar grid is swept and the best mean error kept,
     standing in for cross-validation at desk scale.
     """
 
-    def one(cell):
-        n, rb, t = cell
-        seed = _trial_seed(spec, n, t)
-        truth = make_truth(spec, seed)
-        data = sample_ksum_gaussian(truth, n, seed)
-        est = _fit(gram_factors(data), n, rb, spec.max_iter)
+    def frob_rel(truth, est):
         return estimation_errors(truth, est)["frob_rel"]
 
     rows = []
     for n in spec.n_list:
-        cells = [(n, rb, t) for rb in spec.rho_grid for t in range(spec.trials)]
-        errs_flat = _map(one, cells, threads)
-        per_rho = {}
-        for (n_, rb, t), e in zip(cells, errs_flat):
-            per_rho.setdefault(rb, []).append(e)
-        best_rb = min(per_rho, key=lambda rb: float(np.mean(per_rho[rb])))
-        errs = per_rho[best_rb]
+        n_eff = effective_sample_size(spec.dims, n)  # rejects p = 1 before any solve
+        per_rho = _cells(spec, n, _rho_bar_configs(spec), frob_rel)
+        best = min(range(len(per_rho)), key=lambda i: float(np.mean(per_rho[i])))
+        errs = per_rho[best]
         rows.append(
             {
                 "n": n,
-                "n_eff": effective_sample_size(spec.dims, n),
-                "rho_bar": best_rb,
+                "n_eff": n_eff,
+                "rho_bar": spec.rho_grid[best],
                 "mean_frob_rel": float(np.mean(errs)),
                 "std_frob_rel": float(np.std(errs)),
             }
@@ -236,34 +239,27 @@ def run_rate_experiment(spec: ExperimentSpec, threads: int = 1) -> list[dict]:
     return rows
 
 
-def run_support_experiment(spec: ExperimentSpec, threads: int = 1) -> list[dict]:
+def run_support_experiment(spec: ExperimentSpec) -> list[dict]:
     """Support recovery at the best rho_bar on the grid, per sample size."""
 
-    def one(cell):
-        n, rb, t = cell
-        seed = _trial_seed(spec, n, t)
-        truth = make_truth(spec, seed)
-        data = sample_ksum_gaussian(truth, n, seed)
-        est = _fit(gram_factors(data), n, rb, spec.max_iter)
+    def support_scores(truth, est):
         ts, es = edge_support(truth), edge_support(est)
         return (mcc(ts, es), *precision_recall(ts, es))
 
     rows = []
     for n in spec.n_list:
+        per_rho = _cells(spec, n, _rho_bar_configs(spec), support_scores)
         best = None
-        for rb in spec.rho_grid:
-            results = _map(one, [(n, rb, t) for t in range(spec.trials)], threads)
-            mccs = [r[0] for r in results]
-            precs = [r[1] for r in results]
-            recs = [r[2] for r in results]
+        for rb, results in zip(spec.rho_grid, per_rho):
+            mean_mcc, precision, recall = _means(results)
             cell = {
                 "p": spec.dims.p,
                 "K": spec.dims.K,
                 "n": n,
                 "rho_bar": rb,
-                "precision": float(np.mean(precs)),
-                "recall": float(np.mean(recs)),
-                "mcc": float(np.mean(mccs)),
+                "precision": precision,
+                "recall": recall,
+                "mcc": mean_mcc,
             }
             if best is None or cell["mcc"] > best["mcc"]:
                 best = cell
@@ -271,53 +267,44 @@ def run_support_experiment(spec: ExperimentSpec, threads: int = 1) -> list[dict]
     return rows
 
 
-def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,), threads: int = 1) -> list[dict]:
+def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
     """Sweep rho_bar (and optional per-factor deviations rho_bar_2 = ratio * rho_bar).
 
     Ratios other than 1 scale the penalty of every factor after the first,
     reproducing the near-optimality check of the single-parameter rule.
     """
     dims = spec.dims
+    logp = math.log(dims.p)
 
-    def one(cell):
-        n, rb, ratio, t = cell
-        seed = _trial_seed(spec, n, t)
-        truth = make_truth(spec, seed)
-        data = sample_ksum_gaussian(truth, n, seed)
-        logp = math.log(dims.p)
-        rho = tuple(
-            (rb if k == 0 else rb * ratio) * math.sqrt(logp / (n * dims.m(k)))
-            for k in range(dims.K)
-        )
-        cfg = SolverConfig(rho_override=rho, max_iter=spec.max_iter)
-        est, _ = solve(gram_factors(data), n=n, config=cfg)
+    def tuning_scores(truth, est):
         errs = estimation_errors(truth, est)
-        return (
-            mcc(edge_support(truth), edge_support(est)),
-            errs["frob_rel"],
-            errs["spectral"],
-        )
+        return (mcc(edge_support(truth), edge_support(est)), errs["frob_rel"], errs["spectral"])
 
     rows = []
     for n in spec.n_list:
-        for rb in spec.rho_grid:
-            for ratio in rho_ratios:
-                results = _map(
-                    one, [(n, rb, ratio, t) for t in range(spec.trials)], threads
-                )
-                mccs = [r[0] for r in results]
-                frobs = [r[1] for r in results]
-                specs_ = [r[2] for r in results]
-                rows.append(
-                    {
-                        "n": n,
-                        "rho_bar": rb,
-                        "ratio": ratio,
-                        "mcc": float(np.mean(mccs)),
-                        "frob_rel": float(np.mean(frobs)),
-                        "spectral": float(np.mean(specs_)),
-                    }
-                )
+        grid = [(rb, ratio) for rb in spec.rho_grid for ratio in rho_ratios]
+        configs = [
+            SolverConfig(
+                rho_override=tuple(
+                    (rb if k == 0 else rb * ratio) * math.sqrt(logp / (n * dims.m(k)))
+                    for k in range(dims.K)
+                ),
+                max_iter=spec.max_iter,
+            )
+            for rb, ratio in grid
+        ]
+        for (rb, ratio), results in zip(grid, _cells(spec, n, configs, tuning_scores)):
+            mean_mcc, frob_rel, spectral = _means(results)
+            rows.append(
+                {
+                    "n": n,
+                    "rho_bar": rb,
+                    "ratio": ratio,
+                    "mcc": mean_mcc,
+                    "frob_rel": frob_rel,
+                    "spectral": spectral,
+                }
+            )
     return rows
 
 

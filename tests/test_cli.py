@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import teralasso
 from teralasso.cli import main
-from teralasso.data import read_ktns
+from teralasso.data import read_ktns, write_ktns
 from teralasso.ksum import FactorSet
 
 
@@ -162,6 +168,39 @@ class TestSweep:
         code = run(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         assert "unknown sweep kind" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Bad input exits 1 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--dims", "0,3", "--n", "2"],
+            ["generate", "--dims", "4,4", "--edges", "100,1", "--n", "2"],
+            ["estimate", "--data", "{good}", "--rho-bar", "-1"],
+            ["estimate", "--data", "{nan}"],
+            ["sweep", "--kind", "rate", "--model", "ar1", "--dims", "1", "--n", "2",
+             "--rho-grid", "0.1", "--trials", "1"],
+        ],
+        ids=["zero-dim", "too-many-edges", "negative-rho", "nan-sample", "p-equals-1"],
+    )
+    def test_one_line_error(self, tmp_path, argv):
+        assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
+        data = read_ktns(tmp_path / "samples.ktns")
+        data.values[0, 0] = np.nan
+        write_ktns(tmp_path / "nan.ktns", data)
+        files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns"}
+        argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]
+        path = [str(Path(teralasso.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "teralasso.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestSelfcheck:

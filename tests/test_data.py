@@ -265,6 +265,15 @@ class TestKtnsFormat:
         with pytest.raises(ValueError, match="unsupported"):
             read_ktns(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, bad):
+        values = np.zeros((2, 4))
+        values[1, 2] = bad
+        path = tmp_path / "x.ktns"
+        write_ktns(path, DataTensorSet(Dims([2, 2]), values))
+        with pytest.raises(ValueError, match="non-finite"):
+            read_ktns(path)
+
     def test_byte_identical_rewrite(self, tmp_path):
         rng = np.random.default_rng(8)
         data = DataTensorSet(Dims([3, 2]), rng.standard_normal((3, 6)))

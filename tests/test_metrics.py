@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from teralasso import metrics
+from teralasso.data import sample_ksum_gaussian
 from teralasso.ksum import Dims, FactorSet, kron_sum_dense
 from teralasso.metrics import (
     EdgeSupport,
@@ -17,6 +19,7 @@ from teralasso.metrics import (
     tuning_sweep,
     write_table,
 )
+from teralasso.solver import solve
 
 
 def support(dims, *edge_sets):
@@ -151,6 +154,11 @@ class TestEffectiveSampleSize:
             2 * effective_sample_size(dims, 10)
         )
 
+    @pytest.mark.parametrize("d", [[1], [1, 1]])
+    def test_rejects_p_one(self, d):
+        with pytest.raises(ValueError, match="needs p > 1"):
+            effective_sample_size(Dims(d), 1)
+
 
 class TestExperimentSpec:
     def test_validation(self):
@@ -192,20 +200,34 @@ class TestExperiments:
         assert set(rows[0]) == {"p", "K", "n", "rho_bar", "precision", "recall", "mcc"}
         assert -1.0 <= rows[0]["mcc"] <= 1.0
 
-    def test_thread_count_does_not_change_results(self):
+    def test_each_trial_draws_data_once(self, monkeypatch):
+        # one sample per (n, trial), shared by every solve of the rho grid
         spec = ExperimentSpec(
             model="er",
             dims=Dims([6, 6]),
             edges=(3, 3),
-            n_list=(20,),
-            rho_grid=(0.1, 0.5),
+            n_list=(10, 20),
+            rho_grid=(0.1, 0.3, 0.5),
             trials=3,
             seed=1,
-            max_iter=100,
+            max_iter=50,
         )
-        serial = run_support_experiment(spec, threads=1)
-        threaded = run_support_experiment(spec, threads=4)
-        assert serial == threaded
+
+        def counted(fn, calls):
+            def wrapper(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for sweep in (run_support_experiment, tuning_sweep):
+            samples, solves = [], []
+            with monkeypatch.context() as m:
+                m.setattr(metrics, "sample_ksum_gaussian", counted(sample_ksum_gaussian, samples))
+                m.setattr(metrics, "solve", counted(solve, solves))
+                sweep(spec)
+            assert len(samples) == len(spec.n_list) * spec.trials
+            assert len(solves) == len(spec.n_list) * len(spec.rho_grid) * spec.trials
 
     def test_tuning_sweep_shape(self):
         spec = ExperimentSpec(
