@@ -158,7 +158,7 @@ def cmd_evaluate(args) -> int:
             truth = FactorSet.from_json(fh.read())
         with open(resolved["estimate"]) as fh:
             est = FactorSet.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read factor file: {exc}")
     if truth.dims.d != est.dims.d:
         raise CliError(f"dimension mismatch: {truth.dims.d} vs {est.dims.d}")
@@ -222,14 +222,22 @@ def _float_list(text):
     return [float(x) for x in text.split(",")]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as documented; argparse's own code 2 means an
+    iteration-capped solve here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="teralasso")
+    parser = _Parser(prog="teralasso")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
         p.add_argument("--out", help="output directory (default: cwd)")
 
     g = sub.add_parser("generate", help="generate truth factors and samples")
@@ -267,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rho-grid", type=_float_list)
     s.add_argument("--trials", type=int)
     s.add_argument("--max-iter", type=int)
+    s.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
     s.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("selfcheck", help="run the oracle cross-check battery")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "kron_sum_dense",
     "ksum_eigensystem",
     "eigsum_grid",
+    "eigsum_absmax",
     "ksum_logdet",
     "proj_ksum_dense",
     "proj_inverse_spectrum",
@@ -79,20 +80,18 @@ class Dims:
     """Mode dimensions (d_1, ..., d_K) of a tensor-valued variable."""
 
     d: tuple[int, ...]
+    p: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, d):
         d = tuple(int(x) for x in d)
         if len(d) < 1 or any(x < 1 for x in d):
             raise ValueError(f"invalid mode dimensions {d}")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p", math.prod(d))
 
     @property
     def K(self) -> int:
         return len(self.d)
-
-    @property
-    def p(self) -> int:
-        return int(np.prod(self.d))
 
     def m(self, k: int) -> int:
         """Product of all mode dimensions except mode k (0-based)."""
@@ -130,19 +129,29 @@ class FactorSet:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "psi", psi)
 
+    @classmethod
+    def _trusted(cls, dims: Dims, psi) -> "FactorSet":
+        """Skip validation: every factor is already an exactly symmetric
+        (d_k, d_k) float array, as sums, differences and scalings of
+        validated factors are."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "psi", tuple(psi))
+        return out
+
     def map(self, fn) -> "FactorSet":
         return FactorSet(self.dims, [fn(m) for m in self.psi])
 
     def __add__(self, other: "FactorSet") -> "FactorSet":
         _check_same_dims(self, other)
-        return FactorSet(self.dims, [a + b for a, b in zip(self.psi, other.psi)])
+        return FactorSet._trusted(self.dims, [a + b for a, b in zip(self.psi, other.psi)])
 
     def __sub__(self, other: "FactorSet") -> "FactorSet":
         _check_same_dims(self, other)
-        return FactorSet(self.dims, [a - b for a, b in zip(self.psi, other.psi)])
+        return FactorSet._trusted(self.dims, [a - b for a, b in zip(self.psi, other.psi)])
 
     def scale(self, c: float) -> "FactorSet":
-        return FactorSet(self.dims, [c * m for m in self.psi])
+        return FactorSet._trusted(self.dims, [c * m for m in self.psi])
 
     @staticmethod
     def identity(dims: Dims, scale: float = 1.0) -> "FactorSet":
@@ -158,11 +167,19 @@ class FactorSet:
     @staticmethod
     def from_json(text: str) -> "FactorSet":
         obj = json.loads(text)
-        dims = Dims(obj["dims"])
-        psi = [
-            np.asarray(flat, dtype=float).reshape(dk, dk)
-            for flat, dk in zip(obj["factors"], dims.d)
-        ]
+        if not isinstance(obj, dict) or "dims" not in obj or "factors" not in obj:
+            raise ValueError("factor JSON needs the keys 'dims' and 'factors'")
+        dims, factors = Dims(obj["dims"]), obj["factors"]
+        if not isinstance(factors, list) or len(factors) != dims.K:
+            raise ValueError(f"factor JSON needs {dims.K} factors for dims {list(dims.d)}")
+        psi = []
+        for k, (flat, dk) in enumerate(zip(factors, dims.d)):
+            a = np.asarray(flat, dtype=float)
+            if a.shape != (dk * dk,):
+                raise ValueError(f"factor {k} has {a.size} entries, expected {dk * dk}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"factor {k} has non-finite entries")
+            psi.append(a.reshape(dk, dk))
         return FactorSet(dims, psi)
 
 
@@ -230,12 +247,32 @@ def eigsum_grid(eigvals) -> np.ndarray:
     return reduce(np.add.outer, eigvals)
 
 
-def ksum_logdet(s: SpectrumSet) -> float:
-    """log|Omega| from the factor spectra, never forming Omega."""
-    grid = eigsum_grid(s.eigvals)
-    mn = float(grid.min())
+def eigsum_absmax(vals) -> float:
+    """Largest |entry| of ``eigsum_grid(vals)`` in O(sum d_k), never forming it.
+
+    Rounding is monotone, so the grid's extremes are the sums of the
+    per-factor extremes, added in the grid's order, exactly.
+    """
+    hi = sum(float(v.max()) for v in vals)
+    lo = sum(float(v.min()) for v in vals)
+    return max(hi, -lo)
+
+
+def _check_pd(s: SpectrumSet) -> None:
+    # min_sum equals eigsum_grid(s.eigvals).min() exactly: rounding is monotone
+    mn = s.min_sum
     if mn <= 0.0:
         raise NotPositiveDefiniteError(mn)
+
+
+def ksum_logdet(s: SpectrumSet, grid: np.ndarray | None = None) -> float:
+    """log|Omega| from the factor spectra, never forming Omega.
+
+    ``grid`` is ``eigsum_grid(s.eigvals)`` when the caller already built it.
+    """
+    _check_pd(s)
+    if grid is None:
+        grid = eigsum_grid(s.eigvals)
     return float(np.sum(np.log(grid)))
 
 
@@ -264,17 +301,16 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims, limit: int | None = None) -> Fact
     return FactorSet(dims, factors)
 
 
-def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
+def proj_inverse_spectrum(s: SpectrumSet, grid: np.ndarray | None = None) -> FactorSet:
     """Projection of Omega^{-1} onto the subspace, from factor spectra alone.
 
     G_k = U_k diag(g_k) U_k' with
     g_k[i] = (1/m_k) sum_{tuples, i_k = i} 1/lambda  -  ((K-1)/K) (sum 1/lambda)/p,
-    one O(pK) sweep over the eigenvalue-sum grid.
+    one O(pK) sweep over the eigenvalue-sum grid, which the caller may pass.
     """
-    grid = eigsum_grid(s.eigvals)
-    mn = float(grid.min())
-    if mn <= 0.0:
-        raise NotPositiveDefiniteError(mn)
+    _check_pd(s)
+    if grid is None:
+        grid = eigsum_grid(s.eigvals)
     inv = 1.0 / grid
     total = float(inv.sum())
     dims = s.dims
@@ -285,21 +321,27 @@ def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
         axes = tuple(a for a in range(K) if a != k)
         g = inv.sum(axis=axes) / dims.m(k) - shift
         U = s.eigvecs[k]
-        factors.append((U * g) @ U.T)
-    return FactorSet(dims, factors)
+        G = (U * g) @ U.T  # not exactly symmetric in floating point
+        factors.append(0.5 * (G + G.T))
+    return FactorSet._trusted(dims, factors)
 
 
 def identifiable_decompose(f: FactorSet) -> IdentifiableForm:
     """Split a FactorSet into common diagonal mass tau and trace-zero parts."""
     taus = [np.trace(psi) / dk for psi, dk in zip(f.psi, f.dims.d)]
-    tilde = tuple(psi - t * np.eye(dk) for psi, t, dk in zip(f.psi, taus, f.dims.d))
-    return IdentifiableForm(f.dims, float(sum(taus)), tilde)
+    tilde = []
+    for psi, t in zip(f.psi, taus):
+        m = psi.copy()
+        m.flat[:: m.shape[0] + 1] -= t  # the diagonal
+        tilde.append(m)
+    return IdentifiableForm(f.dims, float(sum(taus)), tuple(tilde))
 
 
 def ksum_inner(a: FactorSet, b: FactorSet) -> float:
     """Trace inner product <A, B> of the two Kronecker sums, factor-wise."""
     _check_same_dims(a, b)
-    ia, ib = identifiable_decompose(a), identifiable_decompose(b)
+    ia = identifiable_decompose(a)
+    ib = ia if b is a else identifiable_decompose(b)
     dims = a.dims
     out = dims.p * ia.tau * ib.tau
     for k in range(dims.K):
@@ -312,9 +354,7 @@ def ksum_frobenius(f: FactorSet) -> float:
 
 
 def ksum_spectral_norm(s: SpectrumSet) -> float:
-    hi = sum(float(v.max()) for v in s.eigvals)
-    lo = sum(float(v.min()) for v in s.eigvals)
-    return max(hi, -lo)
+    return eigsum_absmax(s.eigvals)
 
 
 def offdiag_l1(f: FactorSet, rho) -> float:

@@ -19,6 +19,7 @@ from .ksum import (
     Dims,
     FactorSet,
     SpectrumSet,
+    eigsum_absmax,
     eigsum_grid,
     ksum_eigensystem,
     ksum_inner,
@@ -102,14 +103,18 @@ def resolve_rho(config: SolverConfig, dims: Dims, n: int) -> np.ndarray:
     )
 
 
-def smooth_objective(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> float:
-    """-log|Omega| + sum_k m_k <S_k, Psi_k>, from factors only."""
+def smooth_objective(
+    f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None, grid: np.ndarray | None = None
+) -> float:
+    """-log|Omega| + sum_k m_k <S_k, Psi_k>, from factors only.
+
+    ``grid`` is the spectrum's eigenvalue-sum grid when the caller has it."""
     if spectrum is None:
         spectrum = ksum_eigensystem(f)
     trace_term = sum(
         f.dims.m(k) * float(np.sum(g.s[k] * f.psi[k])) for k in range(f.dims.K)
     )
-    return -ksum_logdet(spectrum) + trace_term
+    return -ksum_logdet(spectrum, grid) + trace_term
 
 
 def objective(f: FactorSet, g: GramSet, rho) -> tuple[float, float, float]:
@@ -129,12 +134,23 @@ def shrink_offdiag(M: np.ndarray, thresh: float) -> np.ndarray:
     return out
 
 
-def subspace_gradient(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> FactorSet:
+def subspace_gradient(
+    f: FactorSet,
+    g: GramSet,
+    spectrum: SpectrumSet | None = None,
+    grid: np.ndarray | None = None,
+    centered: FactorSet | None = None,
+) -> FactorSet:
     """Gradient blocks of the smooth objective restricted to the subspace:
-    S_tilde_k - G_k, with G the spectral projection of Omega^{-1}."""
+    S_tilde_k - G_k, with G the spectral projection of Omega^{-1}.
+
+    A caller that already has the eigenvalue-sum grid or ``center_gram(g)``
+    passes them."""
     if spectrum is None:
         spectrum = ksum_eigensystem(f)
-    return center_gram(g) - proj_inverse_spectrum(spectrum)
+    if centered is None:
+        centered = center_gram(g)
+    return centered - proj_inverse_spectrum(spectrum, grid)
 
 
 def quad_model(
@@ -160,7 +176,7 @@ def ista_step(f: FactorSet, grad: FactorSet, rho, zeta: float) -> FactorSet:
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     rho = np.asarray(rho, dtype=float)
-    return FactorSet(
+    return FactorSet._trusted(
         f.dims,
         [
             shrink_offdiag(f.psi[k] - zeta * grad.psi[k], zeta * rho[k])
@@ -177,29 +193,37 @@ def line_search(
     rho,
     zeta_start: float,
     config: SolverConfig,
-) -> tuple[FactorSet, SpectrumSet, float, float, int]:
+    base_smooth: float | None = None,
+    centered: FactorSet | None = None,
+) -> tuple[FactorSet, SpectrumSet, float, FactorSet, float, int]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
     A step is accepted when the candidate is positive definite and its smooth
     objective is bounded by the quadratic model.  After ``max_backtracks``
     rejections the safe step (min eigenvalue of Omega_t)^2 is taken.
+    ``base_smooth`` (the smooth objective at ``f``) and ``centered``
+    (``center_gram(g)``) are computed when not given.
 
     Returns (candidate, candidate spectrum, candidate smooth objective,
-    accepted zeta, number of backtracks).
+    candidate gradient, accepted zeta, number of backtracks).
     """
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
-    base_smooth = smooth_objective(f, g, spectrum)
+    if base_smooth is None:
+        base_smooth = smooth_objective(f, g, spectrum)
 
     def attempt(zeta):
         cand = ista_step(f, grad, rho, zeta)
         cand_spec = ksum_eigensystem(cand)
         if cand_spec.min_sum <= 0:
             return None
-        cand_smooth = smooth_objective(cand, g, cand_spec)
+        # one grid serves the log-det and, if accepted, the gradient
+        grid = eigsum_grid(cand_spec.eigvals)
+        cand_smooth = smooth_objective(cand, g, cand_spec, grid)
         q = quad_model(cand, f, grad, zeta, base_smooth)
         if cand_smooth <= q + 1e-12 * (abs(q) + 1.0):
-            return cand, cand_spec, cand_smooth
+            cand_grad = subspace_gradient(cand, g, cand_spec, grid, centered)
+            return cand, cand_spec, cand_smooth, cand_grad
         return None
 
     zeta = zeta_start
@@ -252,8 +276,7 @@ def kkt_residual(f: FactorSet, g: GramSet, rho, grad: FactorSet | None = None) -
             resid = max(resid, float(np.abs(G[nz] + rho[k] * np.sign(P[nz])).max()))
         if z.any():
             resid = max(resid, max(0.0, float(np.abs(G[z]).max()) - rho[k]))
-    diag_grid = eigsum_grid([np.diag(m) for m in grad.psi])
-    resid = max(resid, float(np.abs(diag_grid).max()))
+    resid = max(resid, eigsum_absmax([np.diag(m) for m in grad.psi]))
     return resid
 
 
@@ -291,8 +314,12 @@ def solve(
     spectrum = ksum_eigensystem(f)
     if spectrum.min_sum <= 0:
         raise ValueError("initial iterate must be positive definite")
-    grad = subspace_gradient(f, g, spectrum)
-    total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
+    centered = center_gram(g)
+    grid = eigsum_grid(spectrum.eigvals)
+    grad = subspace_gradient(f, g, spectrum, grid, centered)
+    smooth = smooth_objective(f, g, spectrum, grid)
+    del grid  # p floats: free them before the loop builds its own
+    total = smooth + offdiag_l1(f, rho)
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
 
@@ -302,15 +329,9 @@ def solve(
     prev_zeta = zeta_next
 
     for it in range(1, config.max_iter + 1):
-        if fixed_zeta is not None:
-            cand, cand_spec, cand_smooth, zeta, bts = line_search(
-                f, spectrum, g, grad, rho, fixed_zeta, config
-            )
-        else:
-            cand, cand_spec, cand_smooth, zeta, bts = line_search(
-                f, spectrum, g, grad, rho, zeta_next, config
-            )
-        cand_grad = subspace_gradient(cand, g, cand_spec)
+        cand, cand_spec, cand_smooth, cand_grad, zeta, bts = line_search(
+            f, spectrum, g, grad, rho, zeta_next, config, smooth, centered
+        )
         cand_total = cand_smooth + offdiag_l1(cand, rho)
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
@@ -320,7 +341,7 @@ def solve(
         prev_zeta = zeta
 
         prev_total = total
-        f, spectrum, grad, total = cand, cand_spec, cand_grad, cand_total
+        f, spectrum, grad, smooth, total = cand, cand_spec, cand_grad, cand_smooth, cand_total
         report.objective_trace.append(total)
         report.stepsize_trace.append(zeta)
         report.backtrack_counts.append(bts)
@@ -337,5 +358,5 @@ def solve(
             break
     else:
         report.termination = "max-iter"
-    report.final_kkt = kkt_residual(f, g, rho)
+    report.final_kkt = kkt_residual(f, g, rho, grad)
     return f, report

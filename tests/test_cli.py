@@ -17,6 +17,16 @@ def run(argv):
     return main(argv)
 
 
+def run_subprocess(argv):
+    """Run the CLI in a fresh interpreter, as a user's shell would."""
+    path = [str(Path(teralasso.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-m", "teralasso.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestGenerate:
     def test_writes_outputs(self, tmp_path):
         code = run(
@@ -182,25 +192,53 @@ class TestBadInput:
             ["estimate", "--data", "{nan}"],
             ["sweep", "--kind", "rate", "--model", "ar1", "--dims", "1", "--n", "2",
              "--rho-grid", "0.1", "--trials", "1"],
+            ["evaluate", "--truth", "{extra}", "--estimate", "{truth}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{short}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{nanjson}"],
+            ["evaluate", "--truth", "{nokey}", "--estimate", "{truth}"],
         ],
-        ids=["zero-dim", "too-many-edges", "negative-rho", "nan-sample", "p-equals-1"],
+        ids=["zero-dim", "too-many-edges", "negative-rho", "nan-sample", "p-equals-1",
+             "extra-factor", "short-factor", "nan-factor", "missing-key"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
         data = read_ktns(tmp_path / "samples.ktns")
         data.values[0, 0] = np.nan
         write_ktns(tmp_path / "nan.ktns", data)
-        files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns"}
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        bad_factor_files = {
+            "extra": {**truth, "factors": truth["factors"] * 2},
+            "short": {**truth, "factors": [truth["factors"][0], truth["factors"][1][:-1]]},
+            "nanjson": {**truth, "factors": [[float("nan")] * 16, truth["factors"][1]]},
+            "nokey": {"dims": truth["dims"]},
+        }
+        files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
+                 "truth": tmp_path / "truth.json"}
+        for name, blob in bad_factor_files.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(blob))
         argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]
-        path = [str(Path(teralasso.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "teralasso.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_subprocess(argv)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestUsageErrors:
+    """argparse usage errors exit 1, not argparse's 2, which means an
+    iteration-capped solve."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["generate", "--bogus", "1"], ["generate", "--dims", "x"],
+         ["generate", "--threads", "2", "--dims", "4,4", "--n", "2"]],
+        ids=["unknown-flag", "bad-value", "threads-off-sweep"],
+    )
+    def test_exit_one(self, tmp_path, argv):
+        proc = run_subprocess(argv + ["--out", str(tmp_path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: " in proc.stderr
 
 
 class TestSelfcheck:

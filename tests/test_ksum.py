@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teralasso.ksum import (
     DenseLimitError,
     Dims,
     FactorSet,
     NotPositiveDefiniteError,
+    eigsum_absmax,
+    eigsum_grid,
     identifiable_decompose,
     kron_sum_dense,
     ksum_eigensystem,
@@ -364,3 +370,63 @@ class TestSerialization:
         assert back.dims.d == f.dims.d
         for a, b in zip(back.psi, f.psi):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "blob, needle",
+        [
+            ({"factors": [[1.0], [1.0]]}, "needs the keys"),
+            ({"dims": [1, 1]}, "needs the keys"),
+            ({"dims": [2, 2], "factors": [[1, 0, 0, 1]] * 3}, "needs 2 factors"),
+            ({"dims": [2, 2], "factors": [[1, 0, 0, 1]]}, "needs 2 factors"),
+            ({"dims": [2, 2], "factors": [[1, 0, 0, 1], [1, 0, 0]]}, "factor 1 has 3 entries"),
+            ({"dims": [2], "factors": [[1, 0, 0, 1, 0]]}, "factor 0 has 5 entries"),
+            ({"dims": [2], "factors": [[1, float("nan"), float("nan"), 1]]}, "non-finite"),
+            ({"dims": [1, 1], "factors": [[1.0], [float("inf")]]}, "non-finite"),
+            ([1, 2], "needs the keys"),
+        ],
+        ids=["no-dims", "no-factors", "extra-factor", "missing-factor", "short-factor",
+             "long-factor", "nan", "inf", "not-object"],
+    )
+    def test_from_json_rejects(self, blob, needle):
+        with pytest.raises(ValueError, match=needle):
+            FactorSet.from_json(json.dumps(blob))
+
+
+# Random small Kronecker-sum problems, including K = 1 and d_k = 1.
+small_dims = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(Dims)
+
+
+@st.composite
+def factor_sets(draw, pd=False):
+    dims = draw(small_dims)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_factors(dims, np.random.default_rng(seed), pd=pd)
+
+
+class TestGridClosedForms:
+    """The solver's grid-free shortcuts equal the grid computations exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets())
+    def test_absmax_of_diagonal_grid(self, f):
+        diags = [np.diag(m) for m in f.psi]
+        assert eigsum_absmax(diags) == float(np.abs(eigsum_grid(diags)).max())
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets(pd=True))
+    def test_logdet_with_prebuilt_grid(self, f):
+        s = ksum_eigensystem(f)
+        grid = eigsum_grid(s.eigvals)
+        assert s.min_sum == float(grid.min())
+        assert ksum_logdet(s, grid) == ksum_logdet(s)
+        a, b = proj_inverse_spectrum(s, grid), proj_inverse_spectrum(s)
+        for x, y in zip(a.psi, b.psi):
+            np.testing.assert_array_equal(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets())
+    def test_identifiable_decompose_subtracts_tau(self, f):
+        form = identifiable_decompose(f)
+        for psi, tilde, dk in zip(f.psi, form.tilde, f.dims.d):
+            tau = np.trace(psi) / dk
+            np.testing.assert_array_equal(tilde, psi - tau * np.eye(dk))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import teralasso.ksum
+import teralasso.solver
 from teralasso.data import GramSet, gram_factors, sample_ksum_gaussian
 from teralasso.ksum import (
     Dims,
@@ -192,7 +194,7 @@ class TestStepAndLineSearch:
         spec = ksum_eigensystem(f)
         grad = subspace_gradient(f, g, spec)
         rho = [0.05, 0.05]
-        cand, cand_spec, cand_smooth, zeta, bts = line_search(
+        cand, cand_spec, cand_smooth, cand_grad, zeta, bts = line_search(
             f, spec, g, grad, rho, 10.0, SolverConfig()
         )
         assert cand_spec.min_sum > 0
@@ -209,7 +211,7 @@ class TestStepAndLineSearch:
         spec = ksum_eigensystem(f)
         grad = subspace_gradient(f, g, spec)
         cfg = SolverConfig(max_backtracks=0)
-        _, _, _, zeta, bts = line_search(f, spec, g, grad, [0.0, 0.0], 1e8, cfg)
+        _, _, _, _, zeta, bts = line_search(f, spec, g, grad, [0.0, 0.0], 1e8, cfg)
         assert zeta == pytest.approx(spec.min_sum**2)
         assert bts == 0
 
@@ -353,3 +355,47 @@ class TestSolve:
         for x, y in zip(a.psi, b.psi):
             np.testing.assert_array_equal(x, y)
         assert ra.objective_trace == rb.objective_trace
+
+    def test_final_kkt_is_fresh_kkt(self):
+        # the report reuses the carried gradient; a fresh one gives the same bits
+        dims = Dims([4, 5])
+        truth, g = random_problem(dims, n=6, seed=16)
+        cfg = SolverConfig(rho_bar=0.1, max_iter=40)
+        est, report = solve(g, config=cfg)
+        assert report.final_kkt == kkt_residual(est, g, resolve_rho(cfg, dims, g.n))
+
+    def test_one_grid_per_pd_attempt(self, monkeypatch):
+        # every eigenvalue-sum grid of a solve belongs to the start point or to
+        # one line-search attempt whose candidate passed the PD check
+        grids, pd_spectra = [], []
+        eigsum_grid, eigensystem = teralasso.ksum.eigsum_grid, teralasso.ksum.ksum_eigensystem
+
+        def counting_grid(vals):
+            grids.append(1)
+            return eigsum_grid(vals)
+
+        def counting_eigensystem(f):
+            s = eigensystem(f)
+            pd_spectra.append(s.min_sum > 0)
+            return s
+
+        for mod in (teralasso.ksum, teralasso.solver):
+            monkeypatch.setattr(mod, "eigsum_grid", counting_grid)
+        monkeypatch.setattr(teralasso.solver, "ksum_eigensystem", counting_eigensystem)
+        dims = Dims([5, 6])
+        truth, g = random_problem(dims, n=3, seed=17)
+        _, report = solve(g, config=SolverConfig(rho_bar=0.1, zeta0=50.0, max_iter=60))
+        attempts = report.iterations + sum(report.backtrack_counts)
+        assert len(pd_spectra) == attempts + 1
+        assert sum(report.backtrack_counts) > 0
+        assert 0 < len(grids) <= sum(pd_spectra)
+
+    @pytest.mark.parametrize("d", [[6], [1, 5]], ids=["K=1", "d_k=1"])
+    def test_degenerate_shapes_converge(self, d):
+        dims = Dims(d)
+        truth, g = random_problem(dims, n=8, seed=18)
+        cfg = SolverConfig(rho_bar=0.2)
+        est, report = solve(g, config=cfg)
+        assert report.termination != "max-iter"
+        assert report.final_kkt < cfg.tol_kkt
+        assert kkt_residual(est, g, resolve_rho(cfg, dims, g.n)) < cfg.tol_kkt
