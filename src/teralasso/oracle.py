@@ -28,6 +28,8 @@ __all__ = [
 
 ORACLE_P_LIMIT = 64
 ORACLE_SOLVER_P_LIMIT = 36
+# dense_solver halves a step at most this often before it takes the safe step
+_MAX_HALVINGS = 30
 
 
 def _check_oracle(p: int, limit: int = ORACLE_P_LIMIT) -> None:
@@ -70,14 +72,21 @@ def dense_objective(omega: np.ndarray, problem: DenseProblem) -> float:
     f = proj_ksum_dense(omega, problem.dims)
     if np.abs(kron_sum_dense(f) - omega).max() > 1e-8 * max(np.abs(omega).max(), 1.0):
         raise ValueError("omega is not in the Kronecker-sum subspace")
-    sign, logdet = np.linalg.slogdet(omega)
-    if sign <= 0:
+    # the eigenvalues, not the slogdet sign: that sign is +1 for an even
+    # number of negative eigenvalues
+    w = np.linalg.eigvalsh(omega)
+    if w.min() <= 0:
         raise ValueError("omega is not positive definite")
     penalty = 0.0
     for k, psi in enumerate(f.psi):
         off = np.abs(psi).sum() - np.abs(np.diag(psi)).sum()
         penalty += problem.rho[k] * problem.dims.m(k) * off
-    return float(-logdet + np.sum(problem.s_hat * omega) + penalty)
+    return _dense_smooth(omega, w, problem) + penalty
+
+
+def _dense_smooth(omega: np.ndarray, w: np.ndarray, problem: DenseProblem) -> float:
+    """-log det Omega + <S_hat, Omega>, given the eigenvalues ``w`` of Omega."""
+    return float(-np.log(w).sum() + np.sum(problem.s_hat * omega))
 
 
 def _ksum_basis(dims: Dims):
@@ -147,33 +156,71 @@ def basis_projection(A: np.ndarray, dims: Dims) -> FactorSet:
 
 
 def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e-8):
-    """Projected proximal gradient on dense matrices, conservative stepsize.
+    """Dense proximal gradient with Barzilai-Borwein steps and backtracking.
+
+    Each step starts from the BB stepsize <D, D> / <D, dG> of the last two
+    iterates' dense differences (the previous stepsize on nonpositive
+    curvature) and is halved until the candidate is positive definite by its
+    smallest eigenvalue and its smooth objective lies under the quadratic
+    model.  After ``_MAX_HALVINGS`` rejections the conservative step
+    0.5 * lambda_min(Omega)^2 is taken unconditionally.
 
     Returns (omega, converged flag).  Reference optimum for the fast solver."""
     dims = problem.dims
     p = dims.p
     _check_oracle(p, ORACLE_SOLVER_P_LIMIT)
     omega = np.eye(p)
-    s_tilde = proj_ksum_dense(problem.s_hat, dims)
+    f = proj_ksum_dense(omega, dims)
+    w = np.ones(p)
+    smooth = _dense_smooth(omega, w, problem)
+    dense_grad = problem.s_hat - np.eye(p)  # S_hat - Omega^{-1}
+    grad = proj_ksum_dense(dense_grad, dims)
+    zeta = 0.5 * w.min() ** 2
     for _ in range(max_iter):
-        w = np.linalg.eigvalsh(omega)
-        zeta = 0.5 * w.min() ** 2
-        grad = s_tilde - proj_ksum_dense(np.linalg.inv(omega), dims)
-        f = proj_ksum_dense(omega, dims)
-        new_psi = [
-            shrink_offdiag(f.psi[k] - zeta * grad.psi[k], zeta * problem.rho[k])
-            for k in range(dims.K)
-        ]
-        omega_new = kron_sum_dense(FactorSet(dims, new_psi))
-        if _dense_kkt(omega_new, problem) < tol:
-            return omega_new, True
-        omega = omega_new
+        for _ in range(_MAX_HALVINGS):
+            new_f, new_omega, new_w = _prox_step(f, grad, zeta, problem)
+            if new_w.min() > 0:
+                new_smooth = _dense_smooth(new_omega, new_w, problem)
+                d = new_omega - omega
+                q = smooth + np.sum(dense_grad * d) + np.sum(d * d) / (2 * zeta)
+                if new_smooth <= q + 1e-12 * (abs(q) + 1.0):
+                    break
+            zeta *= 0.5
+        else:
+            zeta = 0.5 * w.min() ** 2
+            new_f, new_omega, new_w = _prox_step(f, grad, zeta, problem)
+            new_smooth = _dense_smooth(new_omega, new_w, problem)
+        # one inverse per iterate serves its KKT test and its gradient
+        new_dense_grad = problem.s_hat - np.linalg.inv(new_omega)
+        new_grad = proj_ksum_dense(new_dense_grad, dims)
+        if _dense_kkt(new_omega, problem, new_grad) < tol:
+            return new_omega, True
+        d = new_omega - omega
+        curvature = np.sum(d * (new_dense_grad - dense_grad))
+        if curvature > 0:
+            zeta = np.sum(d * d) / curvature
+        f, omega, w, smooth = new_f, new_omega, new_w, new_smooth
+        dense_grad, grad = new_dense_grad, new_grad
     return omega, _dense_kkt(omega, problem) < tol
 
 
-def _dense_kkt(omega: np.ndarray, problem: DenseProblem) -> float:
+def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem):
+    """Proximal gradient candidate at stepsize ``zeta``: its factors, its
+    dense matrix and that matrix's eigenvalues."""
+    psi = [
+        shrink_offdiag(f.psi[k] - zeta * grad.psi[k], zeta * problem.rho[k])
+        for k in range(problem.dims.K)
+    ]
+    new_f = FactorSet(problem.dims, psi)
+    omega = kron_sum_dense(new_f)
+    return new_f, omega, np.linalg.eigvalsh(omega)
+
+
+def _dense_kkt(omega: np.ndarray, problem: DenseProblem, grad: FactorSet | None = None) -> float:
+    """KKT residual at ``omega``; ``grad`` is proj(S_hat - Omega^{-1}) if known."""
     dims = problem.dims
-    grad = proj_ksum_dense(problem.s_hat - np.linalg.inv(omega), dims)
+    if grad is None:
+        grad = proj_ksum_dense(problem.s_hat - np.linalg.inv(omega), dims)
     f = proj_ksum_dense(omega, dims)
     resid = 0.0
     for k in range(dims.K):

@@ -430,3 +430,36 @@ class TestGridClosedForms:
         for psi, tilde, dk in zip(f.psi, form.tilde, f.dims.d):
             tau = np.trace(psi) / dk
             np.testing.assert_array_equal(tilde, psi - tau * np.eye(dk))
+
+
+@st.composite
+def factor_pairs(draw):
+    dims = draw(small_dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_factors(dims, rng), random_factors(dims, rng)
+
+
+class TestDenseProperties:
+    """Factor-level algebra against the materialized Kronecker sum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_pairs())
+    def test_inner_matches_dense(self, pair):
+        a, b = pair
+        dense = np.sum(kron_sum_dense(a) * kron_sum_dense(b))
+        assert ksum_inner(a, b) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets())
+    def test_projection_idempotent_on_kronecker_sums(self, f):
+        A = kron_sum_dense(f)
+        once = kron_sum_dense(proj_ksum_dense(A, f.dims))
+        twice = kron_sum_dense(proj_ksum_dense(once, f.dims))
+        np.testing.assert_allclose(once, A, atol=1e-12)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_sets(pd=True))
+    def test_logdet_matches_dense_eigenvalues(self, f):
+        dense = float(np.log(np.linalg.eigvalsh(kron_sum_dense(f))).sum())
+        assert ksum_logdet(ksum_eigensystem(f)) == pytest.approx(dense, rel=1e-10, abs=1e-10)

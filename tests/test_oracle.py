@@ -58,6 +58,15 @@ class TestDenseObjective:
             total, abs=1e-8
         )
 
+    def test_rejects_indefinite(self):
+        # eigenvalues (-1.5, -1.5, 2.5, 2.5): an even number of negative
+        # ones, so the slogdet sign alone would read +1
+        dims = Dims([2, 2])
+        prob = DenseProblem(dims, np.eye(4), np.zeros(2))
+        omega = kron_sum_dense(FactorSet(dims, [np.diag([-2.0, 2.0]), 0.5 * np.eye(2)]))
+        with pytest.raises(ValueError, match="positive definite"):
+            dense_objective(omega, prob)
+
     def test_rejects_off_subspace(self):
         dims = Dims([2, 2])
         prob = DenseProblem(dims, np.eye(4), np.zeros(2))
@@ -88,26 +97,53 @@ class TestBasisProjection:
         )
 
 
+def criterion4_problems():
+    """The dense problems of acceptance criterion 4, drawn the same way."""
+    rng = np.random.default_rng(104)
+    cases = [(Dims([6, 6]), rb) for rb in (0.0, 0.1) for _ in range(3)]
+    cases += [(Dims([3, 3, 4]), rb) for rb in (0.0, 0.1) for _ in range(2)]
+    for dims, rho_bar in cases:
+        truth = pd_factors(dims, rng)
+        data = sample_ksum_gaussian(truth, 6, int(rng.integers(2**31)))
+        s_hat = data.values.T @ data.values / data.n
+        rho = resolve_rho(SolverConfig(rho_bar=rho_bar), dims, data.n)
+        yield DenseProblem(dims, s_hat, rho)
+
+
+def small_problem(rho_bar):
+    """The [3,3], n = 5 problem of ``test_fast_solver_matches_dense``."""
+    rng = np.random.default_rng(3)
+    dims = Dims([3, 3])
+    truth = pd_factors(dims, rng)
+    data = sample_ksum_gaussian(truth, 5, 3)
+    s_hat = data.values.T @ data.values / data.n
+    cfg = SolverConfig(rho_bar=rho_bar)
+    rho = resolve_rho(cfg, dims, data.n)
+    return data, cfg, DenseProblem(dims, s_hat, rho)
+
+
 class TestDenseSolver:
     @pytest.mark.parametrize("rho_bar", [0.0, 0.1])
     def test_fast_solver_matches_dense(self, rho_bar):
-        rng = np.random.default_rng(3)
-        dims = Dims([3, 3])
-        truth = pd_factors(dims, rng)
-        data = sample_ksum_gaussian(truth, 5, 3)
-        g = gram_factors(data)
-        s_hat = data.values.T @ data.values / data.n
-        cfg = SolverConfig(rho_bar=rho_bar)
-        rho = resolve_rho(cfg, dims, data.n)
-        prob = DenseProblem(dims, s_hat, rho)
+        data, cfg, prob = small_problem(rho_bar)
         omega_ref, converged = dense_solver(prob, tol=1e-8)
         assert converged
-        est, report = solve(g, n=data.n, config=cfg)
+        est, report = solve(gram_factors(data), n=data.n, config=cfg)
         gap = dense_objective(kron_sum_dense(est), prob) - dense_objective(
             omega_ref, prob
         )
         assert abs(gap) < 1e-6
         assert report.final_kkt < 1e-6
+
+    def test_converges_in_few_iterations(self):
+        # BB steps with backtracking; the fixed 0.5 * lambda_min^2 step needed
+        # thousands of iterations on these problems
+        problems = list(criterion4_problems())
+        problems += [small_problem(rb)[2] for rb in (0.0, 0.1)]
+        for prob in problems:
+            omega, converged = dense_solver(prob, max_iter=500)
+            assert converged
+            assert np.linalg.eigvalsh(omega).min() > 0
 
 
 class TestRearrangement:
