@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import read_ktns, sample_ksum_gaussian, write_ktns
+from .data import check_seed, read_ktns, sample_ksum_gaussian, write_ktns
 from .ksum import Dims, FactorSet
 from .metrics import (
     ExperimentSpec,
@@ -99,9 +99,9 @@ def cmd_generate(args) -> int:
             raise CliError(f"generate: missing required parameter '{req}'")
     resolved.setdefault("model", "er")
     resolved.setdefault("seed", 0)
+    seed = check_seed(resolved["seed"])
     spec = _spec_from(resolved)
     out = _out_dir(args)
-    seed = int(resolved["seed"])
     n = int(resolved["n"]) if not isinstance(resolved["n"], list) else int(resolved["n"][0])
     truth = make_truth(spec, seed)
     data = sample_ksum_gaussian(truth, n, seed)
@@ -203,7 +203,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    results = run_selfcheck(seed=args.seed or 0)
+    results = run_selfcheck(seed=check_seed(args.seed or 0))
     failed = [name for name, _, _, ok in results if not ok]
     for name, value, tol, ok in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {tol:g})")

@@ -29,6 +29,7 @@ __all__ = [
     "tensorize",
     "gram_factors",
     "center_gram",
+    "check_seed",
     "sample_ksum_gaussian",
     "er_factor",
     "grid_factor",
@@ -114,9 +115,21 @@ def center_gram(g: GramSet) -> FactorSet:
     return FactorSet(g.dims, out)
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based so replicate streams are independent of thread layout
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
+# entries per block of replicates in the sampler: bounds its scratch memory
+# to a few blocks beside the output
+_SAMPLE_BLOCK = 1 << 16
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` as an int if it is a signed 64-bit integer, else raise.
+
+    Philox takes its key from the seed; larger seeds overflow, or round
+    through float64 so that neighbouring seeds draw the same data.
+    """
+    seed = int(seed)
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed {seed} is outside the signed 64-bit range")
+    return seed
 
 
 def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
@@ -125,7 +138,16 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
     Works in the Kronecker eigenbasis: scale white noise by lambda^{-1/2}
     on the eigenvalue-sum grid, then apply each U_k by mode-k multiplication.
     Never forms the p x p matrix.
+
+    Replicate i draws its p normals from Philox keyed ``[seed, i]`` at counter
+    0, so it does not depend on n and is bit-identical to drawing each
+    replicate alone.  The mode products run on blocks of replicates at once,
+    one batched matmul per mode and block, which gives the same bits as one
+    product per replicate.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    bitgen = np.random.Philox(key=[check_seed(seed), 0])
     spec = ksum_eigensystem(f)
     grid = eigsum_grid(spec.eigvals)
     mn = float(grid.min())
@@ -133,13 +155,25 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
         raise NotPositiveDefiniteError(mn)
     scale = 1.0 / np.sqrt(grid.reshape(-1))
     dims = f.dims
+    rng = np.random.Generator(bitgen)
+    # a snapshot of the fresh generator (counter 0, empty buffer); setting it
+    # back with key word 1 = i re-keys the one Philox to [seed, i]
+    state = bitgen.state
     out = np.empty((n, dims.p))
-    for i in range(n):
-        rng = _replicate_rng(seed, i)
-        x = rng.standard_normal(dims.p) * scale
+    block = max(1, _SAMPLE_BLOCK // dims.p)
+    for start in range(0, n, block):
+        x = out[start : start + block]
+        m = x.shape[0]
+        for j in range(m):
+            state["state"]["key"][1] = start + j
+            bitgen.state = state
+            rng.standard_normal(dims.p, out=x[j])
+        x *= scale
         for k in range(dims.K):
-            x = tensorize(spec.eigvecs[k] @ matricize(x, dims, k), dims, k)
-        out[i] = x
+            t = np.moveaxis(x.reshape((m,) + dims.d), k + 1, 1)
+            t = np.matmul(spec.eigvecs[k], t.reshape(m, dims.d[k], dims.m(k))).reshape(t.shape)
+            x = np.moveaxis(t, 1, k + 1).reshape(m, dims.p)
+        out[start : start + m] = x
     return DataTensorSet(dims, out)
 
 

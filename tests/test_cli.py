@@ -188,6 +188,8 @@ class TestBadInput:
         [
             ["generate", "--dims", "0,3", "--n", "2"],
             ["generate", "--dims", "4,4", "--edges", "100,1", "--n", "2"],
+            ["generate", "--dims", "4,4", "--n", "2", "--seed", "18446744073709551616"],
+            ["selfcheck", "--seed", "-9223372036854775809"],
             ["estimate", "--data", "{good}", "--rho-bar", "-1"],
             ["estimate", "--data", "{nan}"],
             ["sweep", "--kind", "rate", "--model", "ar1", "--dims", "1", "--n", "2",
@@ -197,7 +199,8 @@ class TestBadInput:
             ["evaluate", "--truth", "{truth}", "--estimate", "{nanjson}"],
             ["evaluate", "--truth", "{nokey}", "--estimate", "{truth}"],
         ],
-        ids=["zero-dim", "too-many-edges", "negative-rho", "nan-sample", "p-equals-1",
+        ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
+             "negative-rho", "nan-sample", "p-equals-1",
              "extra-factor", "short-factor", "nan-factor", "missing-key"],
     )
     def test_one_line_error(self, tmp_path, argv):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,18 @@ from teralasso.ksum import (
     FactorSet,
     NotPositiveDefiniteError,
     kron_sum_dense,
+    ksum_eigensystem,
     proj_ksum_dense,
 )
+
+
+def random_pd_factors(dims, seed):
+    rng = np.random.default_rng(seed)
+    factors = []
+    for dk in dims.d:
+        m = rng.standard_normal((dk, dk))
+        factors.append(m @ m.T / dk + 0.5 * np.eye(dk))
+    return FactorSet(dims, factors)
 
 
 class TestMatricize:
@@ -155,6 +167,57 @@ class TestSampler:
         f = FactorSet(Dims([2, 2]), [np.diag([-2.0, 1.0]), np.eye(2)])
         with pytest.raises(NotPositiveDefiniteError):
             sample_ksum_gaussian(f, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, seed, match",
+        [(-2, 0, "n must be"), (0, 0, "n must be"), (1, 2**64, "seed 18446744073709551616"),
+         (1, 2**63, "seed"), (1, -(2**63) - 1, "seed")],
+    )
+    def test_rejects_bad_count_and_seed(self, n, seed, match):
+        f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=match):
+            sample_ksum_gaussian(f, n, seed)
+
+    @staticmethod
+    def per_replicate_reference(f, n, seed):
+        """One Philox and K unfold-multiply-fold round trips per replicate."""
+        spec = ksum_eigensystem(f)
+        dims = f.dims
+        grid = spec.eigvals[0]
+        for lam in spec.eigvals[1:]:
+            grid = np.add.outer(grid, lam)
+        scale = 1.0 / np.sqrt(grid.reshape(-1))
+        out = np.empty((n, dims.p))
+        for i in range(n):
+            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+            x = rng.standard_normal(dims.p) * scale
+            for k in range(dims.K):
+                x = tensorize(spec.eigvecs[k] @ matricize(x, dims, k), dims, k)
+            out[i] = x
+        return out
+
+    @pytest.mark.parametrize(
+        "d, n, seed",
+        [([2, 3], 20000, 0), ([2, 3], 10923, 5), ([1], 7, 3), ([6], 7, 3), ([1, 5], 7, 3),
+         ([3, 3, 4], 7, 3), ([4, 5, 6], 7, 3), ([20, 20, 20, 20], 3, 3), ([3, 3, 4], 50, -1)],
+    )
+    def test_matches_per_replicate_reference(self, d, n, seed):
+        # blocks of replicates give the bits of one replicate at a time,
+        # across block edges (n = 20000 and 10923 at 10922 per block on [2,3])
+        f = random_pd_factors(Dims(d), seed=len(d) + n)
+        got = sample_ksum_gaussian(f, n, seed).values
+        assert np.array_equal(got, self.per_replicate_reference(f, n, seed))
+
+    def test_peak_memory_bounded(self):
+        # scratch stays a small share of the output, which sets the CLI's peak RSS
+        f = random_pd_factors(Dims([20, 20, 20, 20]), seed=8)
+        tracemalloc.start()
+        try:
+            data = sample_ksum_gaussian(f, 8, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * data.values.nbytes
 
 
 class TestGenerators:
