@@ -22,10 +22,8 @@ from .data import (
 from .ksum import (
     Dims,
     FactorSet,
-    IdentifiableForm,
     NotPositiveDefiniteError,
     SpectrumSet,
-    identifiable_decompose,
     kron_sum_dense,
     ksum_eigensystem,
     ksum_frobenius,

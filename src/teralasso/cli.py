@@ -116,7 +116,7 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     resolved = _resolve(
         args,
-        ["data", "rho_bar", "max_iter", "tol_obj", "tol_kkt", "seed"],
+        ["data", "rho_bar", "max_iter", "tol_obj", "tol_kkt"],
         _load_config(args.config),
     )
     if "data" not in resolved:
@@ -237,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default: cwd)")
 
     g = sub.add_parser("generate", help="generate truth factors and samples")
     common(g)
+    g.add_argument("--seed", type=int)
     g.add_argument("--model", choices=["er", "grid", "ar1"])
     g.add_argument("--dims", type=_int_list)
     g.add_argument("--edges", type=_int_list)
@@ -266,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="run an experiment sweep to CSV")
     common(s)
+    s.add_argument("--seed", type=int)
     s.add_argument("--kind", choices=["rate", "support", "tuning"])
     s.add_argument("--model", choices=["er", "grid", "ar1"])
     s.add_argument("--dims", type=_int_list)
@@ -280,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("selfcheck", help="run the oracle cross-check battery")
     common(c)
+    c.add_argument("--seed", type=int)
     c.set_defaults(fn=cmd_selfcheck)
     return parser
 

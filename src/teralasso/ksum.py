@@ -15,14 +15,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 __all__ = [
     "Dims",
     "FactorSet",
-    "IdentifiableForm",
     "SpectrumSet",
     "DenseLimitError",
     "NotPositiveDefiniteError",
@@ -34,7 +33,6 @@ __all__ = [
     "ksum_logdet",
     "proj_ksum_dense",
     "proj_inverse_spectrum",
-    "identifiable_decompose",
     "ksum_inner",
     "ksum_frobenius",
     "ksum_spectral_norm",
@@ -189,21 +187,6 @@ def _check_same_dims(a, b) -> None:
 
 
 @dataclass(frozen=True)
-class IdentifiableForm:
-    """Trace-ambiguity-free parameterization: Omega = tau*I + (+)_k tilde_k."""
-
-    dims: Dims
-    tau: float
-    tilde: tuple[np.ndarray, ...]
-
-    def to_factors(self) -> FactorSet:
-        c = self.tau / self.dims.K
-        return FactorSet(
-            self.dims, [c * np.eye(dk) + t for dk, t in zip(self.dims.d, self.tilde)]
-        )
-
-
-@dataclass(frozen=True)
 class SpectrumSet:
     """Per-factor eigenvalues and orthonormal eigenbases of a FactorSet."""
 
@@ -211,7 +194,7 @@ class SpectrumSet:
     eigvals: tuple[np.ndarray, ...]
     eigvecs: tuple[np.ndarray, ...]
 
-    @property
+    @cached_property
     def min_sum(self) -> float:
         return float(sum(v.min() for v in self.eigvals))
 
@@ -326,27 +309,21 @@ def proj_inverse_spectrum(s: SpectrumSet, grid: np.ndarray | None = None) -> Fac
     return FactorSet._trusted(dims, factors)
 
 
-def identifiable_decompose(f: FactorSet) -> IdentifiableForm:
-    """Split a FactorSet into common diagonal mass tau and trace-zero parts."""
-    taus = [np.trace(psi) / dk for psi, dk in zip(f.psi, f.dims.d)]
-    tilde = []
-    for psi, t in zip(f.psi, taus):
-        m = psi.copy()
-        m.flat[:: m.shape[0] + 1] -= t  # the diagonal
-        tilde.append(m)
-    return IdentifiableForm(f.dims, float(sum(taus)), tuple(tilde))
-
-
 def ksum_inner(a: FactorSet, b: FactorSet) -> float:
-    """Trace inner product <A, B> of the two Kronecker sums, factor-wise."""
+    """Trace inner product <A, B> of the two Kronecker sums, factor-wise.
+
+    Same-mode terms give m_k <A_k, B_k>; modes k != l meet only through their
+    traces, p tr(A_k) tr(B_l) / (d_k d_l), so with t_k = tr(A_k)/d_k and
+    u_k = tr(B_k)/d_k the cross terms are p (sum t)(sum u) - p sum t u.
+    """
     _check_same_dims(a, b)
-    ia = identifiable_decompose(a)
-    ib = ia if b is a else identifiable_decompose(b)
     dims = a.dims
-    out = dims.p * ia.tau * ib.tau
-    for k in range(dims.K):
-        out += dims.m(k) * float(np.sum(ia.tilde[k] * ib.tilde[k]))
-    return out
+    out = ta = tb = cross = 0.0
+    for k, (x, y) in enumerate(zip(a.psi, b.psi)):
+        t, u = x.trace() / dims.d[k], y.trace() / dims.d[k]
+        out += dims.m(k) * float(np.vdot(x, y))
+        ta, tb, cross = ta + t, tb + u, cross + t * u
+    return out + dims.p * float(ta * tb - cross)
 
 
 def ksum_frobenius(f: FactorSet) -> float:

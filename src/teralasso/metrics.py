@@ -15,8 +15,8 @@ from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_
 from .ksum import (
     Dims,
     FactorSet,
-    identifiable_decompose,
     ksum_eigensystem,
+    ksum_frobenius,
     ksum_spectral_norm,
 )
 from .solver import SolverConfig, solve
@@ -97,33 +97,24 @@ def estimation_errors(truth: FactorSet, est: FactorSet) -> dict:
         raise ValueError("dimension mismatch")
     dims = truth.dims
     delta = est - truth
-    di = identifiable_decompose(delta)
-    frob2 = dims.p * di.tau**2 + sum(
-        dims.m(k) * float(np.sum(di.tilde[k] ** 2)) for k in range(dims.K)
-    )
-    frob_full = math.sqrt(max(frob2, 0.0))
-    it = identifiable_decompose(truth)
-    truth_frob = math.sqrt(
-        dims.p * it.tau**2
-        + sum(dims.m(k) * float(np.sum(it.tilde[k] ** 2)) for k in range(dims.K))
-    )
+    frob_full = ksum_frobenius(delta)
+    truth_frob = ksum_frobenius(truth)
     spectral = ksum_spectral_norm(ksum_eigensystem(delta))
     factorwise = []
     for k in range(dims.K):
         off = delta.psi[k] - np.diag(np.diag(delta.psi[k]))
         factorwise.append(float(np.linalg.norm(off)))
-    diag_err = math.sqrt(
-        max(dims.p * di.tau**2 + sum(
-            dims.m(k) * float(np.sum(np.diag(di.tilde[k]) ** 2)) for k in range(dims.K)
-        ), 0.0)
-    )
+    # the diagonal of the Kronecker sum is the Kronecker sum of the diagonals
+    diag_err = ksum_frobenius(delta.map(lambda m: np.diag(np.diag(m))))
+    # tr(Delta) / p, the common diagonal mass no factor trace shift changes
+    tau = float(sum(np.trace(m) / dk for m, dk in zip(delta.psi, dims.d)))
     return {
         "frob_full": frob_full,
         "frob_rel": frob_full / truth_frob if truth_frob > 0 else frob_full,
         "spectral": spectral,
         "factorwise": factorwise,
         "diag_err": diag_err,
-        "tau_err": abs(di.tau),
+        "tau_err": abs(tau),
     }
 
 
@@ -169,9 +160,17 @@ class ExperimentSpec:
 
 
 def make_truth(spec: ExperimentSpec, trial_seed: int) -> FactorSet:
+    """Truth factors; random ones key factor k's generator with seed + 1000 k."""
     dims = spec.dims
     if spec.model == "ar1":
         return FactorSet(dims, [ar1_factor(dk, spec.ar_coeff) for dk in dims.d])
+    last = trial_seed + 1000 * (dims.K - 1)
+    if last >= 2**63:
+        # a larger key would round through float64 and repeat a neighbour's factor
+        raise ValueError(
+            f"seed {trial_seed} is too large for {dims.K} factors: their generator "
+            f"seeds run to {last}, outside the signed 64-bit range"
+        )
     edges = spec.edges if spec.edges else tuple(dk for dk in dims.d)
     gen = er_factor if spec.model == "er" else grid_factor
     return FactorSet(

@@ -185,6 +185,11 @@ def ista_step(f: FactorSet, grad: FactorSet, rho, zeta: float) -> FactorSet:
     )
 
 
+# fraction of the decrease <delta, delta> / (2 zeta) that every step which
+# passes the quadratic model achieves; an accepted step must reach it
+_SIGMA = 1e-4
+
+
 def line_search(
     f: FactorSet,
     spectrum: SpectrumSet,
@@ -193,24 +198,30 @@ def line_search(
     rho,
     zeta_start: float,
     config: SolverConfig,
-    base_smooth: float | None = None,
+    base_total: float | None = None,
     centered: FactorSet | None = None,
 ) -> tuple[FactorSet, SpectrumSet, float, FactorSet, float, int]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
-    A step is accepted when the candidate is positive definite and its smooth
-    objective is bounded by the quadratic model.  After ``max_backtracks``
-    rejections the safe step (min eigenvalue of Omega_t)^2 is taken.
-    ``base_smooth`` (the smooth objective at ``f``) and ``centered``
-    (``center_gram(g)``) are computed when not given.
+    A step is accepted when the candidate is positive definite and the
+    composite objective F (smooth part plus penalty) decreases sufficiently:
+    F(cand) <= F(f) - sigma / (2 zeta) <delta, delta>, delta = cand - f, with
+    sigma = 1e-4.  This is SpaRSA's acceptance with memory M = 0, so descent is
+    monotone.  Every PD candidate under the quadratic model (:func:`quad_model`)
+    satisfies it with sigma = 1, so it accepts every step that test accepts.
+    After ``max_backtracks`` rejections the safe step (min eigenvalue of
+    Omega_t)^2 is tried.
+    ``base_total`` (F at ``f``) and ``centered`` (``center_gram(g)``) are
+    computed when not given.
 
-    Returns (candidate, candidate spectrum, candidate smooth objective,
-    candidate gradient, accepted zeta, number of backtracks).
+    Returns (candidate, candidate spectrum, candidate objective F, candidate
+    gradient, accepted zeta, number of backtracks).
     """
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
-    if base_smooth is None:
-        base_smooth = smooth_objective(f, g, spectrum)
+    if base_total is None:
+        base_total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
+    slack = 1e-12 * (abs(base_total) + 1.0)  # rounding in the two objectives
 
     def attempt(zeta):
         cand = ista_step(f, grad, rho, zeta)
@@ -219,11 +230,12 @@ def line_search(
             return None
         # one grid serves the log-det and, if accepted, the gradient
         grid = eigsum_grid(cand_spec.eigvals)
-        cand_smooth = smooth_objective(cand, g, cand_spec, grid)
-        q = quad_model(cand, f, grad, zeta, base_smooth)
-        if cand_smooth <= q + 1e-12 * (abs(q) + 1.0):
+        cand_total = smooth_objective(cand, g, cand_spec, grid) + offdiag_l1(cand, rho)
+        delta = cand - f
+        bound = base_total - _SIGMA / (2.0 * zeta) * ksum_inner(delta, delta)
+        if cand_total <= bound + slack:
             cand_grad = subspace_gradient(cand, g, cand_spec, grid, centered)
-            return cand, cand_spec, cand_smooth, cand_grad
+            return cand, cand_spec, cand_total, cand_grad
         return None
 
     zeta = zeta_start
@@ -266,16 +278,10 @@ def kkt_residual(f: FactorSet, g: GramSet, rho, grad: FactorSet | None = None) -
         grad = subspace_gradient(f, g)
     rho = np.asarray(rho, dtype=float)
     resid = 0.0
-    for k in range(f.dims.K):
-        G = grad.psi[k]
-        P = f.psi[k]
-        off = ~np.eye(f.dims.d[k], dtype=bool)
-        nz = off & (P != 0)
-        z = off & (P == 0)
-        if nz.any():
-            resid = max(resid, float(np.abs(G[nz] + rho[k] * np.sign(P[nz])).max()))
-        if z.any():
-            resid = max(resid, max(0.0, float(np.abs(G[z]).max()) - rho[k]))
+    for k, (G, P) in enumerate(zip(grad.psi, f.psi)):
+        r = np.where(P != 0, np.abs(G + rho[k] * np.sign(P)), np.abs(G) - rho[k])
+        np.fill_diagonal(r, 0.0)
+        resid = max(resid, float(r.max()))
     resid = max(resid, eigsum_absmax([np.diag(m) for m in grad.psi]))
     return resid
 
@@ -317,9 +323,8 @@ def solve(
     centered = center_gram(g)
     grid = eigsum_grid(spectrum.eigvals)
     grad = subspace_gradient(f, g, spectrum, grid, centered)
-    smooth = smooth_objective(f, g, spectrum, grid)
+    total = smooth_objective(f, g, spectrum, grid) + offdiag_l1(f, rho)
     del grid  # p floats: free them before the loop builds its own
-    total = smooth + offdiag_l1(f, rho)
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
 
@@ -329,10 +334,9 @@ def solve(
     prev_zeta = zeta_next
 
     for it in range(1, config.max_iter + 1):
-        cand, cand_spec, cand_smooth, cand_grad, zeta, bts = line_search(
-            f, spectrum, g, grad, rho, zeta_next, config, smooth, centered
+        cand, cand_spec, cand_total, cand_grad, zeta, bts = line_search(
+            f, spectrum, g, grad, rho, zeta_next, config, total, centered
         )
-        cand_total = cand_smooth + offdiag_l1(cand, rho)
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
 
@@ -341,7 +345,7 @@ def solve(
         prev_zeta = zeta
 
         prev_total = total
-        f, spectrum, grad, smooth, total = cand, cand_spec, cand_grad, cand_smooth, cand_total
+        f, spectrum, grad, total = cand, cand_spec, cand_grad, cand_total
         report.objective_trace.append(total)
         report.stepsize_trace.append(zeta)
         report.backtrack_counts.append(bts)

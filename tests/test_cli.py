@@ -198,10 +198,13 @@ class TestBadInput:
             ["evaluate", "--truth", "{truth}", "--estimate", "{short}"],
             ["evaluate", "--truth", "{truth}", "--estimate", "{nanjson}"],
             ["evaluate", "--truth", "{nokey}", "--estimate", "{truth}"],
+            ["generate", "--model", "er", "--dims", "4,4", "--edges", "2,2", "--n", "2",
+             "--seed", "9223372036854775807"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
-             "extra-factor", "short-factor", "nan-factor", "missing-key"],
+             "extra-factor", "short-factor", "nan-factor", "missing-key",
+             "factor-seed-range"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -234,8 +237,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [["generate", "--bogus", "1"], ["generate", "--dims", "x"],
-         ["generate", "--threads", "2", "--dims", "4,4", "--n", "2"]],
-        ids=["unknown-flag", "bad-value", "threads-off-sweep"],
+         ["generate", "--threads", "2", "--dims", "4,4", "--n", "2"],
+         ["estimate", "--seed", "1"], ["evaluate", "--seed", "1"]],
+        ids=["unknown-flag", "bad-value", "threads-off-sweep", "estimate-seed",
+             "evaluate-seed"],
     )
     def test_exit_one(self, tmp_path, argv):
         proc = run_subprocess(argv + ["--out", str(tmp_path)])

@@ -115,6 +115,33 @@ class TestGramFactors:
         rhs = sum(dims.m(k) * float(np.sum(g.s[k] * f.psi[k])) for k in range(dims.K))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @staticmethod
+    def per_replicate_reference(data):
+        """One unfolding and one product per replicate and mode."""
+        dims = data.dims
+        s = []
+        for k in range(dims.K):
+            acc = np.zeros((dims.d[k], dims.d[k]))
+            for i in range(data.n):
+                Xk = matricize(data.values[i], dims, k)
+                acc += Xk @ Xk.T
+            acc /= data.n * dims.m(k)
+            s.append(0.5 * (acc + acc.T))
+        return s, float(np.sum(data.values**2)) / (data.n * dims.p)
+
+    @pytest.mark.parametrize(
+        "d, n",
+        [([2, 3], 20000), ([1], 7), ([1, 5], 7), ([3, 3, 4], 7), ([20, 20, 20, 20], 3)],
+    )
+    def test_matches_per_replicate_reference(self, d, n):
+        # blocks of replicates give the bits of one product per replicate,
+        # across block edges (10922 replicates per block on [2,3])
+        data = sample_ksum_gaussian(random_pd_factors(Dims(d), seed=n), n, seed=4)
+        g = gram_factors(data)
+        s, trace_mean = self.per_replicate_reference(data)
+        assert all(np.array_equal(a, b) for a, b in zip(g.s, s))
+        assert g.trace_mean == trace_mean
+
     def test_center_gram_is_projection(self):
         rng = np.random.default_rng(5)
         dims = Dims([3, 3])

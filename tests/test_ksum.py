@@ -12,7 +12,6 @@ from teralasso.ksum import (
     NotPositiveDefiniteError,
     eigsum_absmax,
     eigsum_grid,
-    identifiable_decompose,
     kron_sum_dense,
     ksum_eigensystem,
     ksum_frobenius,
@@ -226,52 +225,6 @@ class TestProjInverseSpectrum:
             proj_inverse_spectrum(ksum_eigensystem(f))
 
 
-class TestIdentifiableForm:
-    def test_identity_factors(self):
-        f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])
-        form = identifiable_decompose(f)
-        assert form.tau == pytest.approx(2.0)
-        for t in form.tilde:
-            np.testing.assert_allclose(t, 0, atol=1e-12)
-
-    def test_trace_arithmetic(self):
-        f = FactorSet(Dims([2, 2]), [np.diag([1.0, -1.0]), np.diag([2.0, 0.0])])
-        form = identifiable_decompose(f)
-        assert form.tau == pytest.approx(1.0)
-        np.testing.assert_allclose(form.tilde[0], np.diag([1.0, -1.0]), atol=1e-12)
-        np.testing.assert_allclose(form.tilde[1], np.diag([1.0, -1.0]), atol=1e-12)
-
-    @pytest.mark.parametrize("c", [-2.0, 0.7, 13.5])
-    def test_trace_shift_invariance(self, c):
-        rng = np.random.default_rng(8)
-        dims = Dims([3, 4])
-        f = random_factors(dims, rng, pd=True)
-        shifted = FactorSet(
-            dims, [f.psi[0] + c * np.eye(3), f.psi[1] - c * np.eye(4)]
-        )
-        a, b = identifiable_decompose(f), identifiable_decompose(shifted)
-        assert a.tau == pytest.approx(b.tau, abs=1e-10)
-        for x, y in zip(a.tilde, b.tilde):
-            np.testing.assert_allclose(x, y, atol=1e-10)
-        np.testing.assert_allclose(
-            kron_sum_dense(f), kron_sum_dense(shifted), atol=1e-10
-        )
-        assert ksum_frobenius(f) == pytest.approx(ksum_frobenius(shifted), abs=1e-10)
-        # both PD for small c only; logdet check with safe shift
-        if abs(c) < 1:
-            assert ksum_logdet(ksum_eigensystem(f)) == pytest.approx(
-                ksum_logdet(ksum_eigensystem(shifted)), abs=1e-10
-            )
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(9)
-        f = random_factors(Dims([3, 3]), rng)
-        back = identifiable_decompose(f).to_factors()
-        np.testing.assert_allclose(
-            kron_sum_dense(back), kron_sum_dense(f), atol=1e-12
-        )
-
-
 class TestInnerProductsAndNorms:
     def test_identity_inner(self):
         f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])
@@ -309,6 +262,24 @@ class TestInnerProductsAndNorms:
         b = FactorSet(Dims([2, 3]), [np.eye(2), np.eye(3)])
         with pytest.raises(ValueError):
             ksum_inner(a, b)
+
+    @pytest.mark.parametrize("c", [-2.0, 0.7, 13.5])
+    def test_trace_shift_invariance(self, c):
+        rng = np.random.default_rng(8)
+        dims = Dims([3, 4])
+        f = random_factors(dims, rng, pd=True)
+        shifted = FactorSet(
+            dims, [f.psi[0] + c * np.eye(3), f.psi[1] - c * np.eye(4)]
+        )
+        np.testing.assert_allclose(
+            kron_sum_dense(f), kron_sum_dense(shifted), atol=1e-10
+        )
+        assert ksum_frobenius(f) == pytest.approx(ksum_frobenius(shifted), abs=1e-10)
+        # both PD for small c only; logdet check with safe shift
+        if abs(c) < 1:
+            assert ksum_logdet(ksum_eigensystem(f)) == pytest.approx(
+                ksum_logdet(ksum_eigensystem(shifted)), abs=1e-10
+            )
 
 
 class TestSpectralNorm:
@@ -422,14 +393,6 @@ class TestGridClosedForms:
         a, b = proj_inverse_spectrum(s, grid), proj_inverse_spectrum(s)
         for x, y in zip(a.psi, b.psi):
             np.testing.assert_array_equal(x, y)
-
-    @settings(max_examples=150, deadline=None)
-    @given(factor_sets())
-    def test_identifiable_decompose_subtracts_tau(self, f):
-        form = identifiable_decompose(f)
-        for psi, tilde, dk in zip(f.psi, form.tilde, f.dims.d):
-            tau = np.trace(psi) / dk
-            np.testing.assert_array_equal(tilde, psi - tau * np.eye(dk))
 
 
 @st.composite

@@ -141,6 +141,19 @@ class TestEstimationErrors:
         assert errs["spectral"] == pytest.approx(dense_spec, abs=1e-9)
 
 
+    def test_diagonal_and_trace_errors_match_dense(self):
+        rng = np.random.default_rng(2)
+        dims = Dims([1, 3, 4])
+        mk = lambda: [
+            0.5 * (M + M.T) for M in (rng.standard_normal((d, d)) for d in dims.d)
+        ]
+        truth, est = FactorSet(dims, mk()), FactorSet(dims, mk())
+        errs = estimation_errors(truth, est)
+        dense = kron_sum_dense(est) - kron_sum_dense(truth)
+        assert errs["diag_err"] == pytest.approx(np.linalg.norm(np.diag(dense)), abs=1e-9)
+        assert errs["tau_err"] == pytest.approx(abs(np.trace(dense)) / dims.p, abs=1e-12)
+
+
 class TestEffectiveSampleSize:
     def test_formula(self):
         dims = Dims([4, 8])

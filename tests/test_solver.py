@@ -12,6 +12,7 @@ from teralasso.ksum import (
     kron_sum_dense,
     ksum_eigensystem,
     ksum_frobenius,
+    ksum_inner,
 )
 from teralasso.solver import (
     SolverConfig,
@@ -194,13 +195,14 @@ class TestStepAndLineSearch:
         spec = ksum_eigensystem(f)
         grad = subspace_gradient(f, g, spec)
         rho = [0.05, 0.05]
-        cand, cand_spec, cand_smooth, cand_grad, zeta, bts = line_search(
+        cand, cand_spec, cand_total, cand_grad, zeta, bts = line_search(
             f, spec, g, grad, rho, 10.0, SolverConfig()
         )
         assert cand_spec.min_sum > 0
         assert zeta <= 10.0
-        q = quad_model(cand, f, grad, zeta, smooth_objective(f, g, spec))
-        assert cand_smooth <= q + 1e-9
+        delta = cand - f
+        base_total = objective(f, g, rho)[2]
+        assert cand_total <= base_total - 1e-4 / (2 * zeta) * ksum_inner(delta, delta) + 1e-9
 
     def test_safe_step_fallback(self):
         # zero backtracks forces an immediate fall-through to the safe step
@@ -214,6 +216,37 @@ class TestStepAndLineSearch:
         _, _, _, _, zeta, bts = line_search(f, spec, g, grad, [0.0, 0.0], 1e8, cfg)
         assert zeta == pytest.approx(spec.min_sum**2)
         assert bts == 0
+
+    def test_model_acceptance_implies_decrease(self, monkeypatch):
+        # with sigma = 1 the composite-decrease rule accepts every PD candidate
+        # under the quadratic model, the safe step (min eig)^2 among them
+        monkeypatch.setattr(teralasso.solver, "_SIGMA", 1.0)
+        rng = np.random.default_rng(20)
+        under_model = safe_steps = 0
+        for trial in range(30):
+            dims = Dims(rng.integers(1, 7, size=rng.integers(1, 4)))
+            truth, g = random_problem(dims, n=int(rng.integers(1, 6)), seed=trial)
+            f = truth if trial % 2 else FactorSet.identity(dims)
+            spec = ksum_eigensystem(f)
+            grad = subspace_gradient(f, g, spec)
+            rho = resolve_rho(SolverConfig(rho_bar=float(rng.uniform(0, 2))), dims, g.n)
+            base_smooth = smooth_objective(f, g, spec)
+            safe = spec.min_sum**2
+            for zeta in [*np.logspace(-4, 2, 13), safe]:
+                cand = ista_step(f, grad, rho, zeta)
+                if ksum_eigensystem(cand).min_sum <= 0:
+                    continue
+                if smooth_objective(cand, g) > quad_model(cand, f, grad, zeta, base_smooth):
+                    continue
+                under_model += 1
+                got = line_search(f, spec, g, grad, rho, zeta, SolverConfig(max_backtracks=1))
+                assert got[4] == zeta and got[5] == 0
+                if zeta == safe:
+                    # the fallback after max_backtracks rejections takes it too
+                    safe_steps += 1
+                    got = line_search(f, spec, g, grad, rho, 1e8, SolverConfig(max_backtracks=0))
+                    assert got[4] == safe and got[5] == 0
+        assert under_model > 100 and safe_steps > 10
 
     def test_bb_stepsize(self):
         dims = Dims([2, 2])
