@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import check_seed, read_ktns, sample_ksum_gaussian, write_ktns
+from .data import check_seed, gram_factors, read_ktns, sample_ksum_gaussian, write_ktns
 from .ksum import Dims, FactorSet
 from .metrics import (
     ExperimentSpec,
@@ -41,18 +41,28 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}")
+    if not isinstance(config, dict):
+        raise CliError(f"config {path} is not a JSON object")
+    return config
 
 
 def _resolve(args, keys, config):
-    """Merge config-file values and CLI flags; flags win."""
+    """Merge config-file values and CLI flags; flags win.
+
+    ``keys`` are the parameters the command reads, spelled as config keys
+    (``rho-bar``); a config key outside them is an error.
+    """
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise CliError(f"{args.command}: unknown config key {', '.join(map(repr, unknown))}")
     out = dict(config)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
-            out[key.replace("_", "-")] = val
+            out[key] = val
     return out
 
 
@@ -92,7 +102,7 @@ def _spec_from(resolved: dict) -> ExperimentSpec:
 
 def cmd_generate(args) -> int:
     resolved = _resolve(
-        args, ["model", "dims", "edges", "ar_coeff", "n", "seed"], _load_config(args.config)
+        args, ["model", "dims", "edges", "ar-coeff", "n", "seed"], _load_config(args.config)
     )
     for req in ("dims", "n"):
         if req not in resolved:
@@ -116,15 +126,11 @@ def cmd_generate(args) -> int:
 def cmd_estimate(args) -> int:
     resolved = _resolve(
         args,
-        ["data", "rho_bar", "max_iter", "tol_obj", "tol_kkt"],
+        ["data", "rho-bar", "max-iter", "tol-obj", "tol-kkt"],
         _load_config(args.config),
     )
     if "data" not in resolved:
         raise CliError("estimate: missing required parameter 'data'")
-    try:
-        data = read_ktns(resolved["data"])
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read data file: {exc}")
     resolved.setdefault("rho-bar", 0.01)
     cfg = SolverConfig(
         rho_bar=float(resolved["rho-bar"]),
@@ -132,8 +138,10 @@ def cmd_estimate(args) -> int:
         tol_obj=float(resolved.get("tol-obj", 1e-9)),
         tol_kkt=float(resolved.get("tol-kkt", 1e-6)),
     )
-    from .data import gram_factors
-
+    try:
+        data = read_ktns(resolved["data"])
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read data file: {exc}")
     est, report = solve(gram_factors(data), n=data.n, config=cfg)
     out = _out_dir(args)
     with open(out / "estimate.json", "w") as fh:
@@ -176,8 +184,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     resolved = _resolve(
         args,
-        ["kind", "model", "dims", "edges", "ar_coeff", "n", "rho_grid", "trials",
-         "seed", "max_iter", "threads"],
+        ["kind", "model", "dims", "edges", "ar-coeff", "n", "rho-grid", "rho-ratios",
+         "trials", "seed", "max-iter", "threads"],
         _load_config(args.config),
     )
     if "dims" not in resolved:
@@ -203,7 +211,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    results = run_selfcheck(seed=check_seed(args.seed or 0))
+    resolved = _resolve(args, ["seed"], _load_config(args.config))
+    results = run_selfcheck(seed=check_seed(resolved.get("seed", 0)))
     failed = [name for name, _, _, ok in results if not ok]
     for name, value, tol, ok in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tol {tol:g})")

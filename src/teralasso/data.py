@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .ksum import (
     Dims,
     FactorSet,
     NotPositiveDefiniteError,
-    eigsum_grid,
     ksum_eigensystem,
 )
 
@@ -68,6 +68,11 @@ class GramSet:
     n: int
     s: tuple[np.ndarray, ...]
     trace_mean: float
+
+    @cached_property
+    def centered(self) -> FactorSet:
+        """``center_gram(self)``, built on first use."""
+        return center_gram(self)
 
 
 def matricize(x: np.ndarray, dims: Dims, k: int) -> np.ndarray:
@@ -160,11 +165,9 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
         raise ValueError(f"n must be at least 1, got {n}")
     bitgen = np.random.Philox(key=[check_seed(seed), 0])
     spec = ksum_eigensystem(f)
-    grid = eigsum_grid(spec.eigvals)
-    mn = float(grid.min())
-    if mn <= 0.0:
-        raise NotPositiveDefiniteError(mn)
-    scale = 1.0 / np.sqrt(grid.reshape(-1))
+    if spec.min_sum <= 0.0:
+        raise NotPositiveDefiniteError(spec.min_sum)
+    scale = 1.0 / np.sqrt(spec.grid.reshape(-1))
     dims = f.dims
     rng = np.random.Generator(bitgen)
     # a snapshot of the fresh generator (counter 0, empty buffer); setting it

@@ -196,7 +196,16 @@ class SpectrumSet:
 
     @cached_property
     def min_sum(self) -> float:
+        # equals grid.min() exactly: rounding is monotone
         return float(sum(v.min() for v in self.eigvals))
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """``eigsum_grid(eigvals)``: p floats, built on first use and freed
+        with the spectrum.  Read-only, since every reader shares it."""
+        grid = eigsum_grid(self.eigvals)
+        grid.flags.writeable = False
+        return grid
 
     @property
     def max_sum(self) -> float:
@@ -242,21 +251,15 @@ def eigsum_absmax(vals) -> float:
 
 
 def _check_pd(s: SpectrumSet) -> None:
-    # min_sum equals eigsum_grid(s.eigvals).min() exactly: rounding is monotone
     mn = s.min_sum
     if mn <= 0.0:
         raise NotPositiveDefiniteError(mn)
 
 
-def ksum_logdet(s: SpectrumSet, grid: np.ndarray | None = None) -> float:
-    """log|Omega| from the factor spectra, never forming Omega.
-
-    ``grid`` is ``eigsum_grid(s.eigvals)`` when the caller already built it.
-    """
+def ksum_logdet(s: SpectrumSet) -> float:
+    """log|Omega| from the factor spectra, never forming Omega."""
     _check_pd(s)
-    if grid is None:
-        grid = eigsum_grid(s.eigvals)
-    return float(np.sum(np.log(grid)))
+    return float(np.sum(np.log(s.grid)))
 
 
 def proj_ksum_dense(A: np.ndarray, dims: Dims, limit: int | None = None) -> FactorSet:
@@ -284,17 +287,15 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims, limit: int | None = None) -> Fact
     return FactorSet(dims, factors)
 
 
-def proj_inverse_spectrum(s: SpectrumSet, grid: np.ndarray | None = None) -> FactorSet:
+def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
     """Projection of Omega^{-1} onto the subspace, from factor spectra alone.
 
     G_k = U_k diag(g_k) U_k' with
     g_k[i] = (1/m_k) sum_{tuples, i_k = i} 1/lambda  -  ((K-1)/K) (sum 1/lambda)/p,
-    one O(pK) sweep over the eigenvalue-sum grid, which the caller may pass.
+    one O(pK) sweep over the eigenvalue-sum grid.
     """
     _check_pd(s)
-    if grid is None:
-        grid = eigsum_grid(s.eigvals)
-    inv = 1.0 / grid
+    inv = 1.0 / s.grid
     total = float(inv.sum())
     dims = s.dims
     K = dims.K

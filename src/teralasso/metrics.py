@@ -42,35 +42,26 @@ SUPPORT_EPS = 1e-8
 
 @dataclass(frozen=True)
 class EdgeSupport:
-    """Per-factor sets of off-diagonal (i < j) index pairs."""
+    """Per-factor (d_k, d_k) boolean edge masks, set only above the diagonal."""
 
     dims: Dims
-    edges: tuple[frozenset, ...]
+    edges: tuple[np.ndarray, ...]
 
 
 def edge_support(f: FactorSet, eps: float = SUPPORT_EPS) -> EdgeSupport:
-    sets = []
-    for psi in f.psi:
-        d = psi.shape[0]
-        sets.append(
-            frozenset(
-                (i, j) for i in range(d) for j in range(i + 1, d) if abs(psi[i, j]) > eps
-            )
-        )
-    return EdgeSupport(f.dims, tuple(sets))
+    return EdgeSupport(f.dims, tuple(np.triu(np.abs(psi) > eps, 1) for psi in f.psi))
 
 
 def _confusion(truth: EdgeSupport, est: EdgeSupport):
     if truth.dims.d != est.dims.d:
         raise ValueError("dimension mismatch between edge supports")
     tp = tn = fp = fn = 0
-    for k, dk in enumerate(truth.dims.d):
-        universe = {(i, j) for i in range(dk) for j in range(i + 1, dk)}
-        t, e = truth.edges[k], est.edges[k]
-        tp += len(t & e)
-        fp += len(e - t)
-        fn += len(t - e)
-        tn += len(universe - t - e)
+    for t, e, dk in zip(truth.edges, est.edges, truth.dims.d):
+        hit, pos, sel = (int(np.count_nonzero(m)) for m in (t & e, t, e))
+        tp += hit
+        fp += sel - hit
+        fn += pos - hit
+        tn += dk * (dk - 1) // 2 - pos - sel + hit
     return tp, tn, fp, fn
 
 
@@ -142,6 +133,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.trials < 1 or any(n < 1 for n in self.n_list):
             raise ValueError("counts must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     def to_json(self) -> str:
         return json.dumps(

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GramSet, center_gram
+from .data import GramSet
 from .ksum import (
     Dims,
     FactorSet,
     SpectrumSet,
     eigsum_absmax,
-    eigsum_grid,
     ksum_eigensystem,
     ksum_inner,
     ksum_logdet,
@@ -50,20 +49,18 @@ __all__ = [
 class SolverConfig:
     rho_bar: float = 0.0
     rho_override: tuple[float, ...] | None = None
-    backtrack_c: float = 0.5
-    zeta0: float = 1e-2
     max_iter: int = 1000
     max_backtracks: int = 40
     tol_obj: float = 1e-9
     tol_kkt: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.backtrack_c < 1.0:
-            raise ValueError("backtrack_c must lie in (0, 1)")
-        if self.zeta0 <= 0:
-            raise ValueError("zeta0 must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.max_backtracks < 0:
+            raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
         if self.tol_obj <= 0 or self.tol_kkt <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("tol_obj and tol_kkt must be positive")
         if self.rho_bar < 0:
             raise ValueError("rho_bar must be nonnegative")
 
@@ -103,18 +100,14 @@ def resolve_rho(config: SolverConfig, dims: Dims, n: int) -> np.ndarray:
     )
 
 
-def smooth_objective(
-    f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None, grid: np.ndarray | None = None
-) -> float:
-    """-log|Omega| + sum_k m_k <S_k, Psi_k>, from factors only.
-
-    ``grid`` is the spectrum's eigenvalue-sum grid when the caller has it."""
+def smooth_objective(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> float:
+    """-log|Omega| + sum_k m_k <S_k, Psi_k>, from factors only."""
     if spectrum is None:
         spectrum = ksum_eigensystem(f)
     trace_term = sum(
         f.dims.m(k) * float(np.sum(g.s[k] * f.psi[k])) for k in range(f.dims.K)
     )
-    return -ksum_logdet(spectrum, grid) + trace_term
+    return -ksum_logdet(spectrum) + trace_term
 
 
 def objective(f: FactorSet, g: GramSet, rho) -> tuple[float, float, float]:
@@ -134,23 +127,12 @@ def shrink_offdiag(M: np.ndarray, thresh: float) -> np.ndarray:
     return out
 
 
-def subspace_gradient(
-    f: FactorSet,
-    g: GramSet,
-    spectrum: SpectrumSet | None = None,
-    grid: np.ndarray | None = None,
-    centered: FactorSet | None = None,
-) -> FactorSet:
+def subspace_gradient(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> FactorSet:
     """Gradient blocks of the smooth objective restricted to the subspace:
-    S_tilde_k - G_k, with G the spectral projection of Omega^{-1}.
-
-    A caller that already has the eigenvalue-sum grid or ``center_gram(g)``
-    passes them."""
+    S_tilde_k - G_k, with G the spectral projection of Omega^{-1}."""
     if spectrum is None:
         spectrum = ksum_eigensystem(f)
-    if centered is None:
-        centered = center_gram(g)
-    return centered - proj_inverse_spectrum(spectrum, grid)
+    return g.centered - proj_inverse_spectrum(spectrum)
 
 
 def quad_model(
@@ -188,54 +170,48 @@ def ista_step(f: FactorSet, grad: FactorSet, rho, zeta: float) -> FactorSet:
 # fraction of the decrease <delta, delta> / (2 zeta) that every step which
 # passes the quadratic model achieves; an accepted step must reach it
 _SIGMA = 1e-4
+# backtracking factor, and the trial stepsize of a solve's first iteration
+_BACKTRACK_C = 0.5
+_ZETA0 = 1e-2
 
 
 def line_search(
     f: FactorSet,
-    spectrum: SpectrumSet,
     g: GramSet,
     grad: FactorSet,
     rho,
     zeta_start: float,
     config: SolverConfig,
-    base_total: float | None = None,
-    centered: FactorSet | None = None,
-) -> tuple[FactorSet, SpectrumSet, float, FactorSet, float, int]:
+    base_total: float,
+) -> tuple[FactorSet, float, FactorSet, float, int]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
     A step is accepted when the candidate is positive definite and the
     composite objective F (smooth part plus penalty) decreases sufficiently:
     F(cand) <= F(f) - sigma / (2 zeta) <delta, delta>, delta = cand - f, with
-    sigma = 1e-4.  This is SpaRSA's acceptance with memory M = 0, so descent is
-    monotone.  Every PD candidate under the quadratic model (:func:`quad_model`)
-    satisfies it with sigma = 1, so it accepts every step that test accepts.
-    After ``max_backtracks`` rejections the safe step (min eigenvalue of
-    Omega_t)^2 is tried.
-    ``base_total`` (F at ``f``) and ``centered`` (``center_gram(g)``) are
-    computed when not given.
+    sigma = 1e-4 and ``base_total`` = F(f).  This is SpaRSA's acceptance with
+    memory M = 0, so descent is monotone.  Every PD candidate under the
+    quadratic model (:func:`quad_model`) satisfies it with sigma = 1, so it
+    accepts every step that test accepts.  After ``max_backtracks``
+    rejections the safe step (min eigenvalue of Omega_t)^2 is tried.
 
-    Returns (candidate, candidate spectrum, candidate objective F, candidate
-    gradient, accepted zeta, number of backtracks).
+    Returns (candidate, candidate objective F, candidate gradient, accepted
+    zeta, number of backtracks).
     """
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
-    if base_total is None:
-        base_total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
     slack = 1e-12 * (abs(base_total) + 1.0)  # rounding in the two objectives
 
     def attempt(zeta):
         cand = ista_step(f, grad, rho, zeta)
-        cand_spec = ksum_eigensystem(cand)
-        if cand_spec.min_sum <= 0:
+        spec = ksum_eigensystem(cand)
+        if spec.min_sum <= 0:
             return None
-        # one grid serves the log-det and, if accepted, the gradient
-        grid = eigsum_grid(cand_spec.eigvals)
-        cand_total = smooth_objective(cand, g, cand_spec, grid) + offdiag_l1(cand, rho)
+        cand_total = smooth_objective(cand, g, spec) + offdiag_l1(cand, rho)
         delta = cand - f
         bound = base_total - _SIGMA / (2.0 * zeta) * ksum_inner(delta, delta)
         if cand_total <= bound + slack:
-            cand_grad = subspace_gradient(cand, g, cand_spec, grid, centered)
-            return cand, cand_spec, cand_total, cand_grad
+            return cand, cand_total, subspace_gradient(cand, g, spec)
         return None
 
     zeta = zeta_start
@@ -243,8 +219,8 @@ def line_search(
         got = attempt(zeta)
         if got is not None:
             return (*got, zeta, j)
-        zeta = config.backtrack_c * zeta
-    zeta_safe = spectrum.min_sum**2
+        zeta = _BACKTRACK_C * zeta
+    zeta_safe = ksum_eigensystem(f).min_sum**2
     got = attempt(zeta_safe)
     if got is None:
         raise RuntimeError(
@@ -303,13 +279,11 @@ def solve(
     n: int | None = None,
     config: SolverConfig | None = None,
     init: FactorSet | None = None,
-    fixed_zeta: float | None = None,
 ) -> tuple[FactorSet, SolverReport]:
     """Run the iterative soft-thresholding loop to convergence.
 
     Starts at Omega = I (factors I/K) unless ``init`` is given.  The stepsize
-    is initialized by the Barzilai-Borwein rule and validated by backtracking;
-    ``fixed_zeta`` disables both and uses a constant stepsize with PD checks.
+    is initialized by the Barzilai-Borwein rule and validated by backtracking.
     """
     config = config or SolverConfig()
     dims = g.dims
@@ -320,32 +294,28 @@ def solve(
     spectrum = ksum_eigensystem(f)
     if spectrum.min_sum <= 0:
         raise ValueError("initial iterate must be positive definite")
-    centered = center_gram(g)
-    grid = eigsum_grid(spectrum.eigvals)
-    grad = subspace_gradient(f, g, spectrum, grid, centered)
-    total = smooth_objective(f, g, spectrum, grid) + offdiag_l1(f, rho)
-    del grid  # p floats: free them before the loop builds its own
+    grad = subspace_gradient(f, g, spectrum)
+    total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
+    del spectrum  # its grid holds p floats: free them before the loop builds its own
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
 
     report = SolverReport()
     report.objective_trace.append(total)
-    zeta_next = fixed_zeta if fixed_zeta is not None else config.zeta0
-    prev_zeta = zeta_next
+    zeta_next = prev_zeta = _ZETA0
 
     for it in range(1, config.max_iter + 1):
-        cand, cand_spec, cand_total, cand_grad, zeta, bts = line_search(
-            f, spectrum, g, grad, rho, zeta_next, config, total, centered
+        cand, cand_total, cand_grad, zeta, bts = line_search(
+            f, g, grad, rho, zeta_next, config, total
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
 
-        if fixed_zeta is None:
-            zeta_next = bb_stepsize(cand - f, cand_grad - grad, prev_zeta)
+        zeta_next = bb_stepsize(cand - f, cand_grad - grad, prev_zeta)
         prev_zeta = zeta
 
         prev_total = total
-        f, spectrum, grad, total = cand, cand_spec, cand_grad, cand_total
+        f, grad, total = cand, cand_grad, cand_total
         report.objective_trace.append(total)
         report.stepsize_trace.append(zeta)
         report.backtrack_counts.append(bts)
@@ -360,7 +330,5 @@ def solve(
                 "objective-tol" if rel_change < config.tol_obj else "kkt-tol"
             )
             break
-    else:
-        report.termination = "max-iter"
-    report.final_kkt = kkt_residual(f, g, rho, grad)
+    report.final_kkt = kkt
     return f, report

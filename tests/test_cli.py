@@ -102,6 +102,18 @@ class TestEstimate:
         )
         assert code == 2
 
+    def test_config_key_not_read(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho_bar": 5.0, "seed": 7}))
+        out = tmp_path / "f"
+        code = run(
+            ["estimate", "--data", str(dataset / "samples.ktns"), "--config", str(cfg),
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert "'rho_bar', 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(
             ["estimate", "--data", str(tmp_path / "nope.ktns"), "--out", str(tmp_path)]
@@ -200,11 +212,17 @@ class TestBadInput:
             ["evaluate", "--truth", "{nokey}", "--estimate", "{truth}"],
             ["generate", "--model", "er", "--dims", "4,4", "--edges", "2,2", "--n", "2",
              "--seed", "9223372036854775807"],
+            ["estimate", "--data", "{good}", "--config", "{rhobar}"],
+            ["estimate", "--data", "{good}", "--config", "{seed}"],
+            ["estimate", "--data", "{good}", "--max-iter", "0"],
+            ["sweep", "--kind", "support", "--model", "er", "--dims", "4,4", "--edges", "2,2",
+             "--n", "2", "--rho-grid", "0.1", "--trials", "1", "--max-iter", "-3"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
              "extra-factor", "short-factor", "nan-factor", "missing-key",
-             "factor-seed-range"],
+             "factor-seed-range", "config-rho_bar", "config-seed",
+             "estimate-max-iter-zero", "sweep-max-iter-negative"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -212,15 +230,18 @@ class TestBadInput:
         data.values[0, 0] = np.nan
         write_ktns(tmp_path / "nan.ktns", data)
         truth = json.loads((tmp_path / "truth.json").read_text())
-        bad_factor_files = {
+        json_files = {
             "extra": {**truth, "factors": truth["factors"] * 2},
             "short": {**truth, "factors": [truth["factors"][0], truth["factors"][1][:-1]]},
             "nanjson": {**truth, "factors": [[float("nan")] * 16, truth["factors"][1]]},
             "nokey": {"dims": truth["dims"]},
+            # config keys estimate does not read: rho-bar is its spelling, seed not its input
+            "rhobar": {"rho_bar": 5.0},
+            "seed": {"seed": 7},
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
                  "truth": tmp_path / "truth.json"}
-        for name, blob in bad_factor_files.items():
+        for name, blob in json_files.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps(blob))
         argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]

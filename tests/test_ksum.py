@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teralasso.ksum
 from teralasso.ksum import (
     DenseLimitError,
     Dims,
@@ -375,7 +377,8 @@ def factor_sets(draw, pd=False):
 
 
 class TestGridClosedForms:
-    """The solver's grid-free shortcuts equal the grid computations exactly."""
+    """The grid-free shortcuts equal the grid computations exactly, and a
+    spectrum builds its grid once for every computation that needs it."""
 
     @settings(max_examples=150, deadline=None)
     @given(factor_sets())
@@ -385,14 +388,14 @@ class TestGridClosedForms:
 
     @settings(max_examples=150, deadline=None)
     @given(factor_sets(pd=True))
-    def test_logdet_with_prebuilt_grid(self, f):
+    def test_spectrum_builds_one_grid(self, f):
         s = ksum_eigensystem(f)
-        grid = eigsum_grid(s.eigvals)
-        assert s.min_sum == float(grid.min())
-        assert ksum_logdet(s, grid) == ksum_logdet(s)
-        a, b = proj_inverse_spectrum(s, grid), proj_inverse_spectrum(s)
-        for x, y in zip(a.psi, b.psi):
-            np.testing.assert_array_equal(x, y)
+        with mock.patch.object(teralasso.ksum, "eigsum_grid", wraps=eigsum_grid) as built:
+            ksum_logdet(s)
+            proj_inverse_spectrum(s)
+        assert built.call_count == 1
+        assert s.min_sum == float(s.grid.min())
+        np.testing.assert_array_equal(s.grid, eigsum_grid(s.eigvals))
 
 
 @st.composite

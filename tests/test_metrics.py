@@ -23,7 +23,18 @@ from teralasso.solver import solve
 
 
 def support(dims, *edge_sets):
-    return EdgeSupport(dims, tuple(frozenset(e) for e in edge_sets))
+    """Edge masks with the given (i, j), i < j, pairs set, one set per factor."""
+    masks = []
+    for dk, pairs in zip(dims.d, edge_sets):
+        mask = np.zeros((dk, dk), dtype=bool)
+        for i, j in pairs:
+            mask[i, j] = True
+        masks.append(mask)
+    return EdgeSupport(dims, tuple(masks))
+
+
+def pairs(mask):
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
 
 
 DIMS3 = Dims([4, 4])
@@ -39,16 +50,16 @@ class TestEdgeSupport:
             ],
         )
         s = edge_support(f)
-        assert s.edges[0] == frozenset({(0, 1)})
-        assert s.edges[1] == frozenset({(0, 1)})
+        assert pairs(s.edges[0]) == {(0, 1)}
+        assert pairs(s.edges[1]) == {(0, 1)}
 
     def test_threshold(self):
         f = FactorSet(
             Dims([2, 2]),
             [np.array([[1.0, 1e-12], [1e-12, 1.0]]), np.eye(2)],
         )
-        assert edge_support(f).edges[0] == frozenset()
-        assert edge_support(f, eps=1e-13).edges[0] == frozenset({(0, 1)})
+        assert pairs(edge_support(f).edges[0]) == set()
+        assert pairs(edge_support(f, eps=1e-13).edges[0]) == {(0, 1)}
 
 
 class TestMcc:
@@ -79,15 +90,41 @@ class TestMcc:
         # MCC is invariant to complementing both supports
         dims = Dims([4, 4])
         universe = {(i, j) for i in range(4) for j in range(i + 1, 4)}
-        t = support(dims, {(0, 1), (1, 2)}, {(2, 3)})
-        e = support(dims, {(0, 1)}, {(2, 3), (0, 3)})
-        tc = support(dims, universe - t.edges[0], universe - t.edges[1])
-        ec = support(dims, universe - e.edges[0], universe - e.edges[1])
+        t_sets = ({(0, 1), (1, 2)}, {(2, 3)})
+        e_sets = ({(0, 1)}, {(2, 3), (0, 3)})
+        t, e = support(dims, *t_sets), support(dims, *e_sets)
+        tc = support(dims, *(universe - s for s in t_sets))
+        ec = support(dims, *(universe - s for s in e_sets))
         assert mcc(t, e) == pytest.approx(mcc(tc, ec))
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
             mcc(support(Dims([3, 3]), set(), set()), support(DIMS3, set(), set()))
+
+    def test_counts_match_pair_set_reference(self):
+        # the masks give the confusion counts of sets of (i < j) index pairs
+        rng = np.random.default_rng(4)
+
+        def sparse_factors(dims):
+            psi = []
+            for d in dims.d:
+                M = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.4)
+                psi.append(M + M.T)
+            return FactorSet(dims, psi)
+
+        for _ in range(30):
+            dims = Dims(rng.integers(1, 8, size=rng.integers(1, 4)))
+            truth, est = sparse_factors(dims), sparse_factors(dims)
+            ref = [0, 0, 0, 0]
+            for a, b in zip(truth.psi, est.psi):
+                d = a.shape[0]
+                every = {(i, j) for i in range(d) for j in range(i + 1, d)}
+                t = {ij for ij in every if abs(a[ij]) > metrics.SUPPORT_EPS}
+                e = {ij for ij in every if abs(b[ij]) > metrics.SUPPORT_EPS}
+                for i, n in enumerate((len(t & e), len(every - t - e), len(e - t), len(t - e))):
+                    ref[i] += n
+            got = metrics._confusion(edge_support(truth), edge_support(est))
+            assert got == tuple(ref)
 
 
 class TestPrecisionRecall:
@@ -179,6 +216,9 @@ class TestExperimentSpec:
             ExperimentSpec(model="nope", dims=Dims([4, 4]))
         with pytest.raises(ValueError):
             ExperimentSpec(model="er", dims=Dims([4, 4]), trials=0)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                ExperimentSpec(model="er", dims=Dims([4, 4]), max_iter=cap)
 
     def test_make_truth_models(self):
         dims = Dims([9, 9])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from teralasso.data import GramSet, gram_factors, sample_ksum_gaussian
 from teralasso.ksum import (
     Dims,
     FactorSet,
+    eigsum_grid,
     kron_sum_dense,
     ksum_eigensystem,
     ksum_frobenius,
@@ -54,16 +56,17 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"backtrack_c": 0.0},
-            {"backtrack_c": 1.0},
-            {"zeta0": 0.0},
             {"tol_obj": 0.0},
             {"tol_kkt": -1.0},
             {"rho_bar": -0.5},
+            {"max_iter": 0},
+            {"max_iter": -3},
+            {"max_backtracks": -1},
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        # rejected by name, before any solve
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
 
 
@@ -192,16 +195,15 @@ class TestStepAndLineSearch:
         dims = Dims([3, 4])
         truth, g = random_problem(dims, n=4, seed=6)
         f = FactorSet.identity(dims)
-        spec = ksum_eigensystem(f)
-        grad = subspace_gradient(f, g, spec)
+        grad = subspace_gradient(f, g)
         rho = [0.05, 0.05]
-        cand, cand_spec, cand_total, cand_grad, zeta, bts = line_search(
-            f, spec, g, grad, rho, 10.0, SolverConfig()
+        base_total = objective(f, g, rho)[2]
+        cand, cand_total, cand_grad, zeta, bts = line_search(
+            f, g, grad, rho, 10.0, SolverConfig(), base_total
         )
-        assert cand_spec.min_sum > 0
+        assert ksum_eigensystem(cand).min_sum > 0
         assert zeta <= 10.0
         delta = cand - f
-        base_total = objective(f, g, rho)[2]
         assert cand_total <= base_total - 1e-4 / (2 * zeta) * ksum_inner(delta, delta) + 1e-9
 
     def test_safe_step_fallback(self):
@@ -210,11 +212,11 @@ class TestStepAndLineSearch:
         dims = Dims([2, 2])
         g = identity_gram(dims)
         f = FactorSet.identity(dims)
-        spec = ksum_eigensystem(f)
-        grad = subspace_gradient(f, g, spec)
+        grad = subspace_gradient(f, g)
         cfg = SolverConfig(max_backtracks=0)
-        _, _, _, _, zeta, bts = line_search(f, spec, g, grad, [0.0, 0.0], 1e8, cfg)
-        assert zeta == pytest.approx(spec.min_sum**2)
+        base_total = objective(f, g, [0.0, 0.0])[2]
+        _, _, _, zeta, bts = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
+        assert zeta == pytest.approx(ksum_eigensystem(f).min_sum ** 2)
         assert bts == 0
 
     def test_model_acceptance_implies_decrease(self, monkeypatch):
@@ -231,6 +233,7 @@ class TestStepAndLineSearch:
             grad = subspace_gradient(f, g, spec)
             rho = resolve_rho(SolverConfig(rho_bar=float(rng.uniform(0, 2))), dims, g.n)
             base_smooth = smooth_objective(f, g, spec)
+            base_total = base_smooth + objective(f, g, rho)[1]
             safe = spec.min_sum**2
             for zeta in [*np.logspace(-4, 2, 13), safe]:
                 cand = ista_step(f, grad, rho, zeta)
@@ -239,13 +242,17 @@ class TestStepAndLineSearch:
                 if smooth_objective(cand, g) > quad_model(cand, f, grad, zeta, base_smooth):
                     continue
                 under_model += 1
-                got = line_search(f, spec, g, grad, rho, zeta, SolverConfig(max_backtracks=1))
-                assert got[4] == zeta and got[5] == 0
+                got = line_search(
+                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total
+                )
+                assert got[3] == zeta and got[4] == 0
                 if zeta == safe:
                     # the fallback after max_backtracks rejections takes it too
                     safe_steps += 1
-                    got = line_search(f, spec, g, grad, rho, 1e8, SolverConfig(max_backtracks=0))
-                    assert got[4] == safe and got[5] == 0
+                    got = line_search(
+                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
+                    )
+                    assert got[3] == safe and got[4] == 0
         assert under_model > 100 and safe_steps > 10
 
     def test_bb_stepsize(self):
@@ -356,14 +363,6 @@ class TestSolve:
         assert report.termination == "max-iter"
         assert report.iterations == 3
 
-    def test_fixed_zeta_converges(self):
-        dims = Dims([3, 3])
-        truth, g = random_problem(dims, n=8, seed=14)
-        est, report = solve(
-            g, config=SolverConfig(rho_bar=0.1, max_iter=5000), fixed_zeta=0.2
-        )
-        assert report.final_kkt < 1e-6
-
     def test_rejects_indefinite_init(self):
         dims = Dims([2, 2])
         g = identity_gram(dims)
@@ -401,7 +400,7 @@ class TestSolve:
         # every eigenvalue-sum grid of a solve belongs to the start point or to
         # one line-search attempt whose candidate passed the PD check
         grids, pd_spectra = [], []
-        eigsum_grid, eigensystem = teralasso.ksum.eigsum_grid, teralasso.ksum.ksum_eigensystem
+        eigensystem = teralasso.ksum.ksum_eigensystem
 
         def counting_grid(vals):
             grids.append(1)
@@ -412,12 +411,11 @@ class TestSolve:
             pd_spectra.append(s.min_sum > 0)
             return s
 
-        for mod in (teralasso.ksum, teralasso.solver):
-            monkeypatch.setattr(mod, "eigsum_grid", counting_grid)
+        truth, g = random_problem(Dims([5, 6]), n=3, seed=17)
+        monkeypatch.setattr(teralasso.ksum, "eigsum_grid", counting_grid)
         monkeypatch.setattr(teralasso.solver, "ksum_eigensystem", counting_eigensystem)
-        dims = Dims([5, 6])
-        truth, g = random_problem(dims, n=3, seed=17)
-        _, report = solve(g, config=SolverConfig(rho_bar=0.1, zeta0=50.0, max_iter=60))
+        monkeypatch.setattr(teralasso.solver, "_ZETA0", 50.0)
+        _, report = solve(g, config=SolverConfig(rho_bar=0.1, max_iter=60))
         attempts = report.iterations + sum(report.backtrack_counts)
         assert len(pd_spectra) == attempts + 1
         assert sum(report.backtrack_counts) > 0
@@ -432,3 +430,19 @@ class TestSolve:
         assert report.termination != "max-iter"
         assert report.final_kkt < cfg.tol_kkt
         assert kkt_residual(est, g, resolve_rho(cfg, dims, g.n)) < cfg.tol_kkt
+
+    def test_solve_holds_one_grid(self):
+        # no spectrum, and so no p-float grid, outlives the line-search attempt
+        # that built it: peak memory stays under three grids' worth
+        dims = Dims([40, 40, 40])
+        off = [0.1 * np.diag(np.ones(d - 1), 1) for d in dims.d]
+        truth = FactorSet(dims, [np.eye(d) + a + a.T for d, a in zip(dims.d, off)])
+        g = gram_factors(sample_ksum_gaussian(truth, 2, 19))
+        grid_bytes = eigsum_grid(ksum_eigensystem(truth).eigvals).nbytes
+        tracemalloc.start()
+        try:
+            solve(g, config=SolverConfig(rho_bar=0.5, max_iter=30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * grid_bytes
