@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -25,7 +24,6 @@ __all__ = [
     "SpectrumSet",
     "DenseLimitError",
     "NotPositiveDefiniteError",
-    "dense_limit",
     "kron_sum_dense",
     "ksum_eigensystem",
     "eigsum_grid",
@@ -39,7 +37,8 @@ __all__ = [
     "offdiag_l1",
 ]
 
-DEFAULT_DENSE_LIMIT = 4096
+# largest p that kron_sum_dense and proj_ksum_dense accept
+_DENSE_LIMIT = 4096
 
 
 class DenseLimitError(ValueError):
@@ -60,17 +59,9 @@ class NotPositiveDefiniteError(ValueError):
         self.min_sum = float(min_sum)
 
 
-def dense_limit(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    env = os.environ.get("TERALASSO_DENSE_LIMIT")
-    return int(env) if env else DEFAULT_DENSE_LIMIT
-
-
-def _check_dense(p: int, limit: int | None = None) -> None:
-    lim = dense_limit(limit)
-    if p > lim:
-        raise DenseLimitError(f"dense path requested for p={p} > limit {lim}")
+def _check_dense(p: int) -> None:
+    if p > _DENSE_LIMIT:
+        raise DenseLimitError(f"dense path requested for p={p} > limit {_DENSE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -212,10 +203,10 @@ class SpectrumSet:
         return float(sum(v.max() for v in self.eigvals))
 
 
-def kron_sum_dense(f: FactorSet, limit: int | None = None) -> np.ndarray:
+def kron_sum_dense(f: FactorSet) -> np.ndarray:
     """Materialize the dense p x p Kronecker sum.  Oracle/test use only."""
     dims = f.dims
-    _check_dense(dims.p, limit)
+    _check_dense(dims.p)
     out = np.zeros((dims.p, dims.p))
     for k, psi in enumerate(f.psi):
         pre = int(np.prod(dims.d[:k], initial=1))
@@ -262,7 +253,7 @@ def ksum_logdet(s: SpectrumSet) -> float:
     return float(np.sum(np.log(s.grid)))
 
 
-def proj_ksum_dense(A: np.ndarray, dims: Dims, limit: int | None = None) -> FactorSet:
+def proj_ksum_dense(A: np.ndarray, dims: Dims) -> FactorSet:
     """Frobenius-orthogonal projection of a dense matrix onto the subspace.
 
     Returns factors A_k - ((K-1)/K) (tr(A)/p) I where A_k averages the m_k
@@ -272,7 +263,7 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims, limit: int | None = None) -> Fact
     p = dims.p
     if A.shape != (p, p):
         raise ValueError(f"expected {p}x{p} matrix, got {A.shape}")
-    _check_dense(p, limit)
+    _check_dense(p)
     K = dims.K
     shift = (K - 1) / K * (np.trace(A) / p)
     T = A.reshape(dims.d + dims.d)

@@ -136,21 +136,6 @@ class ExperimentSpec:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "dims": list(self.dims.d),
-                "edges": list(self.edges),
-                "ar_coeff": self.ar_coeff,
-                "n_list": list(self.n_list),
-                "rho_grid": list(self.rho_grid),
-                "trials": self.trials,
-                "seed": self.seed,
-                "max_iter": self.max_iter,
-            }
-        )
-
 
 def make_truth(spec: ExperimentSpec, trial_seed: int) -> FactorSet:
     """Truth factors; random ones key factor k's generator with seed + 1000 k."""
@@ -178,29 +163,41 @@ def _trial_seed(spec: ExperimentSpec, *indices: int) -> int:
     return s
 
 
-def _cells(spec: ExperimentSpec, n: int, configs, score) -> list[list]:
-    """Score every solver config on each trial's data set, drawn once per trial.
+# the trial-mean scores of every sweep cell, in the order _grid computes them
+_SCORES = ("mcc", "precision", "recall", "frob_rel", "spectral")
 
-    Returns ``score(truth, est)`` as ``[config][trial]`` lists in input order.
+
+def _grid(spec: ExperimentSpec, n: int, rho_ratios=(1.0,)) -> list[dict]:
+    """Solve and score every (rho_bar, ratio) cell on each trial's data set.
+
+    Each trial's data set is drawn once and shared by every cell.  A ratio
+    scales the rho_bar of every factor after the first.  Returns one dict per
+    cell, in (rho_bar, ratio) order, with the trial means of ``_SCORES`` and
+    the trial spread ``std_frob_rel``.
     """
-    out = [[] for _ in configs]
+    cells = [(rb, ratio) for rb in spec.rho_grid for ratio in rho_ratios]
+    scores = [[] for _ in cells]
     for t in range(spec.trials):
         seed = _trial_seed(spec, n, t)
         truth = make_truth(spec, seed)
         gram = gram_factors(sample_ksum_gaussian(truth, n, seed))
-        for scores, cfg in zip(out, configs):
-            est, _ = solve(gram, n=n, config=cfg)
-            scores.append(score(truth, est))
+        ts = edge_support(truth)
+        for trial_scores, (rb, ratio) in zip(scores, cells):
+            rho_bar = (rb,) + (rb * ratio,) * (spec.dims.K - 1)
+            config = SolverConfig(rho_bar=rho_bar, max_iter=spec.max_iter)
+            est, _ = solve(gram, n=n, config=config)
+            es = edge_support(est)
+            errs = estimation_errors(truth, est)
+            trial_scores.append(
+                (mcc(ts, es), *precision_recall(ts, es), errs["frob_rel"], errs["spectral"])
+            )
+    out = []
+    for (rb, ratio), trial_scores in zip(cells, scores):
+        cols = dict(zip(_SCORES, zip(*trial_scores)))
+        means = {name: float(np.mean(col)) for name, col in cols.items()}
+        spread = float(np.std(cols["frob_rel"]))
+        out.append({"rho_bar": rb, "ratio": ratio, **means, "std_frob_rel": spread})
     return out
-
-
-def _rho_bar_configs(spec: ExperimentSpec) -> list[SolverConfig]:
-    return [SolverConfig(rho_bar=rb, max_iter=spec.max_iter) for rb in spec.rho_grid]
-
-
-def _means(results) -> list[float]:
-    """Column means of a trial-ordered list of score tuples."""
-    return [float(np.mean(col)) for col in zip(*results)]
 
 
 def run_rate_experiment(spec: ExperimentSpec) -> list[dict]:
@@ -209,23 +206,17 @@ def run_rate_experiment(spec: ExperimentSpec) -> list[dict]:
     For each cell the rho_bar grid is swept and the best mean error kept,
     standing in for cross-validation at desk scale.
     """
-
-    def frob_rel(truth, est):
-        return estimation_errors(truth, est)["frob_rel"]
-
     rows = []
     for n in spec.n_list:
         n_eff = effective_sample_size(spec.dims, n)  # rejects p = 1 before any solve
-        per_rho = _cells(spec, n, _rho_bar_configs(spec), frob_rel)
-        best = min(range(len(per_rho)), key=lambda i: float(np.mean(per_rho[i])))
-        errs = per_rho[best]
+        best = min(_grid(spec, n), key=lambda cell: cell["frob_rel"])
         rows.append(
             {
                 "n": n,
                 "n_eff": n_eff,
-                "rho_bar": spec.rho_grid[best],
-                "mean_frob_rel": float(np.mean(errs)),
-                "std_frob_rel": float(np.std(errs)),
+                "rho_bar": best["rho_bar"],
+                "mean_frob_rel": best["frob_rel"],
+                "std_frob_rel": best["std_frob_rel"],
             }
         )
     return rows
@@ -233,29 +224,18 @@ def run_rate_experiment(spec: ExperimentSpec) -> list[dict]:
 
 def run_support_experiment(spec: ExperimentSpec) -> list[dict]:
     """Support recovery at the best rho_bar on the grid, per sample size."""
-
-    def support_scores(truth, est):
-        ts, es = edge_support(truth), edge_support(est)
-        return (mcc(ts, es), *precision_recall(ts, es))
-
     rows = []
     for n in spec.n_list:
-        per_rho = _cells(spec, n, _rho_bar_configs(spec), support_scores)
-        best = None
-        for rb, results in zip(spec.rho_grid, per_rho):
-            mean_mcc, precision, recall = _means(results)
-            cell = {
+        # max keeps the first of equal cells
+        best = max(_grid(spec, n), key=lambda cell: cell["mcc"])
+        rows.append(
+            {
                 "p": spec.dims.p,
                 "K": spec.dims.K,
                 "n": n,
-                "rho_bar": rb,
-                "precision": precision,
-                "recall": recall,
-                "mcc": mean_mcc,
+                **{k: best[k] for k in ("rho_bar", "precision", "recall", "mcc")},
             }
-            if best is None or cell["mcc"] > best["mcc"]:
-                best = cell
-        rows.append(best)
+        )
     return rows
 
 
@@ -265,39 +245,11 @@ def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
     Ratios other than 1 scale the penalty of every factor after the first,
     reproducing the near-optimality check of the single-parameter rule.
     """
-    dims = spec.dims
-    logp = math.log(dims.p)
-
-    def tuning_scores(truth, est):
-        errs = estimation_errors(truth, est)
-        return (mcc(edge_support(truth), edge_support(est)), errs["frob_rel"], errs["spectral"])
-
-    rows = []
-    for n in spec.n_list:
-        grid = [(rb, ratio) for rb in spec.rho_grid for ratio in rho_ratios]
-        configs = [
-            SolverConfig(
-                rho_override=tuple(
-                    (rb if k == 0 else rb * ratio) * math.sqrt(logp / (n * dims.m(k)))
-                    for k in range(dims.K)
-                ),
-                max_iter=spec.max_iter,
-            )
-            for rb, ratio in grid
-        ]
-        for (rb, ratio), results in zip(grid, _cells(spec, n, configs, tuning_scores)):
-            mean_mcc, frob_rel, spectral = _means(results)
-            rows.append(
-                {
-                    "n": n,
-                    "rho_bar": rb,
-                    "ratio": ratio,
-                    "mcc": mean_mcc,
-                    "frob_rel": frob_rel,
-                    "spectral": spectral,
-                }
-            )
-    return rows
+    return [
+        {"n": n, **{k: cell[k] for k in ("rho_bar", "ratio", "mcc", "frob_rel", "spectral")}}
+        for n in spec.n_list
+        for cell in _grid(spec, n, rho_ratios)
+    ]
 
 
 def write_table(rows: list[dict], csv_path, manifest: dict | None = None) -> None:

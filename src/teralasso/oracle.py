@@ -12,7 +12,6 @@ import numpy as np
 from .ksum import (
     Dims,
     FactorSet,
-    dense_limit,
     kron_sum_dense,
     proj_ksum_dense,
 )
@@ -33,9 +32,8 @@ _MAX_HALVINGS = 30
 
 
 def _check_oracle(p: int, limit: int = ORACLE_P_LIMIT) -> None:
-    lim = min(limit, dense_limit())
-    if p > lim:
-        raise ValueError(f"oracle path limited to p <= {lim}, got p={p}")
+    if p > limit:
+        raise ValueError(f"oracle path limited to p <= {limit}, got p={p}")
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rho_bar: float = 0.0
-    rho_override: tuple[float, ...] | None = None
+    rho_bar: float | tuple[float, ...] = 0.0
     max_iter: int = 1000
     max_backtracks: int = 40
     tol_obj: float = 1e-9
@@ -61,7 +60,7 @@ class SolverConfig:
             raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
         if self.tol_obj <= 0 or self.tol_kkt <= 0:
             raise ValueError("tol_obj and tol_kkt must be positive")
-        if self.rho_bar < 0:
+        if np.any(np.asarray(self.rho_bar) < 0):
             raise ValueError("rho_bar must be nonnegative")
 
 
@@ -88,16 +87,16 @@ class SolverReport:
 
 
 def resolve_rho(config: SolverConfig, dims: Dims, n: int) -> np.ndarray:
-    """Per-factor penalties rho_k = rho_bar * sqrt(log p / (n m_k))."""
-    if config.rho_override is not None:
-        rho = np.asarray(config.rho_override, dtype=float)
-        if rho.shape != (dims.K,):
-            raise ValueError(f"rho_override must have length {dims.K}")
-        return rho
+    """Per-factor penalties rho_k = rho_bar_k * sqrt(log p / (n m_k)).
+
+    A scalar ``rho_bar`` serves every factor; a tuple gives one per factor."""
+    rho_bar = config.rho_bar
+    if np.ndim(rho_bar) == 0:
+        rho_bar = (rho_bar,) * dims.K
+    elif len(rho_bar) != dims.K:
+        raise ValueError(f"rho_bar must be a scalar or {dims.K} values, got {len(rho_bar)}")
     logp = math.log(dims.p) if dims.p > 1 else 1.0
-    return np.array(
-        [config.rho_bar * math.sqrt(logp / (n * dims.m(k))) for k in range(dims.K)]
-    )
+    return np.array([rb * math.sqrt(logp / (n * dims.m(k))) for k, rb in enumerate(rho_bar)])
 
 
 def smooth_objective(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> float:
@@ -183,7 +182,7 @@ def line_search(
     zeta_start: float,
     config: SolverConfig,
     base_total: float,
-) -> tuple[FactorSet, float, FactorSet, float, int]:
+) -> tuple[FactorSet, float, FactorSet, float, int, float]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
     A step is accepted when the candidate is positive definite and the
@@ -196,48 +195,51 @@ def line_search(
     rejections the safe step (min eigenvalue of Omega_t)^2 is tried.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
-    zeta, number of backtracks).
+    zeta, number of backtracks, <delta, delta> of the accepted step).
     """
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
     slack = 1e-12 * (abs(base_total) + 1.0)  # rounding in the two objectives
 
-    def attempt(zeta):
+    def attempt(zeta, backtracks):
         cand = ista_step(f, grad, rho, zeta)
         spec = ksum_eigensystem(cand)
         if spec.min_sum <= 0:
             return None
         cand_total = smooth_objective(cand, g, spec) + offdiag_l1(cand, rho)
         delta = cand - f
-        bound = base_total - _SIGMA / (2.0 * zeta) * ksum_inner(delta, delta)
-        if cand_total <= bound + slack:
-            return cand, cand_total, subspace_gradient(cand, g, spec)
+        dd = ksum_inner(delta, delta)
+        if cand_total <= base_total - _SIGMA / (2.0 * zeta) * dd + slack:
+            grad_cand = subspace_gradient(cand, g, spec)
+            return cand, cand_total, grad_cand, zeta, backtracks, dd
         return None
 
     zeta = zeta_start
     for j in range(config.max_backtracks):
-        got = attempt(zeta)
+        got = attempt(zeta, j)
         if got is not None:
-            return (*got, zeta, j)
+            return got
         zeta = _BACKTRACK_C * zeta
     zeta_safe = ksum_eigensystem(f).min_sum**2
-    got = attempt(zeta_safe)
+    got = attempt(zeta_safe, config.max_backtracks)
     if got is None:
         raise RuntimeError(
             "line search failed even at the safe step; iterate is corrupted"
         )
-    return (*got, zeta_safe, config.max_backtracks)
+    return got
 
 
-def bb_stepsize(delta_omega: FactorSet, delta_grad: FactorSet, fallback: float) -> float:
+def bb_stepsize(
+    delta_omega: FactorSet, delta_grad: FactorSet, fallback: float, dd: float
+) -> float:
     """Barzilai-Borwein stepsize ||dOmega||^2 / <dOmega, dGrad>, factor-wise.
 
+    ``dd`` is <dOmega, dOmega>, which the line search already computed.
     Falls back to the previous accepted stepsize on nonpositive curvature."""
     denom = ksum_inner(delta_omega, delta_grad)
     if denom <= 0 or not math.isfinite(denom):
         return fallback
-    num = ksum_inner(delta_omega, delta_omega)
-    zeta = num / denom
+    zeta = dd / denom
     if not math.isfinite(zeta) or zeta <= 0:
         return fallback
     return zeta
@@ -305,13 +307,13 @@ def solve(
     zeta_next = prev_zeta = _ZETA0
 
     for it in range(1, config.max_iter + 1):
-        cand, cand_total, cand_grad, zeta, bts = line_search(
+        cand, cand_total, cand_grad, zeta, bts, dd = line_search(
             f, g, grad, rho, zeta_next, config, total
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
 
-        zeta_next = bb_stepsize(cand - f, cand_grad - grad, prev_zeta)
+        zeta_next = bb_stepsize(cand - f, cand_grad - grad, prev_zeta, dd)
         prev_zeta = zeta
 
         prev_total = total

@@ -43,7 +43,14 @@ def test_tracer_sees_solver_layers(tmp_path):
         tracer.uninstall()
     assert code == 0
     metrics = tracer.metrics(rounds=1, startup_ms=0.0)
-    for name in ("ksum.grid.calls", "solver.gradient.ms", "solver.line_search.ms"):
+    for name in (
+        "ksum.grid.calls",
+        "solver.gradient.ms",
+        "solver.line_search.ms",
+        "metrics.cells",
+        "metrics.evaluate.ms",
+        "metrics.sweep.self_ms",
+    ):
         assert np.isfinite(metrics[name]) and metrics[name] > 0, name
     assert teralasso.solver.solve is original
     assert teralasso.solve is original and teralasso.metrics.solve is original

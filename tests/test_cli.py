@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import teralasso
+import teralasso.selfcheck
 from teralasso.cli import main
 from teralasso.data import read_ktns, write_ktns
 from teralasso.ksum import FactorSet
@@ -279,8 +280,15 @@ class TestSelfcheck:
         assert "selfcheck passed" in out
 
     def test_fault_injection_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setenv("TERALASSO_FAULT_INJECT", "projection")
+        # the projection reference is off by 1e-3 I per factor
+        reference = teralasso.selfcheck.basis_projection
+        monkeypatch.setattr(
+            teralasso.selfcheck,
+            "basis_projection",
+            lambda A, dims: reference(A, dims).map(lambda m: m + 1e-3 * np.eye(len(m))),
+        )
         code = run(["selfcheck", "--seed", "0"])
         out = capsys.readouterr().out
         assert code == 3
         assert "FAIL  projection-vs-basis" in out
+        assert "PASS  gradient-vs-dense" in out

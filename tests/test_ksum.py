@@ -65,13 +65,8 @@ class TestKronSumDense:
         np.testing.assert_allclose(kron_sum_dense(f), np.diag([4.0, 5.0, 5.0, 6.0]))
 
     def test_dense_limit(self):
-        f = FactorSet(Dims([3, 3]), [np.eye(3), np.eye(3)])
-        with pytest.raises(DenseLimitError):
-            kron_sum_dense(f, limit=4)
-
-    def test_dense_limit_env_var(self, monkeypatch):
-        monkeypatch.setenv("TERALASSO_DENSE_LIMIT", "4")
-        f = FactorSet(Dims([3, 3]), [np.eye(3), np.eye(3)])
+        # p = 4,225 is past the limit; the check runs before any allocation
+        f = FactorSet.identity(Dims([65, 65]))
         with pytest.raises(DenseLimitError):
             kron_sum_dense(f)
 

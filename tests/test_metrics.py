@@ -15,6 +15,7 @@ from teralasso.metrics import (
     make_truth,
     mcc,
     precision_recall,
+    run_rate_experiment,
     run_support_experiment,
     tuning_sweep,
     write_table,
@@ -273,7 +274,7 @@ class TestExperiments:
 
             return wrapper
 
-        for sweep in (run_support_experiment, tuning_sweep):
+        for sweep in (run_rate_experiment, run_support_experiment, tuning_sweep):
             samples, solves = [], []
             with monkeypatch.context() as m:
                 m.setattr(metrics, "sample_ksum_gaussian", counted(sample_ksum_gaussian, samples))
@@ -281,6 +282,27 @@ class TestExperiments:
                 sweep(spec)
             assert len(samples) == len(spec.n_list) * spec.trials
             assert len(solves) == len(spec.n_list) * len(spec.rho_grid) * spec.trials
+
+    def test_kinds_share_one_grid(self):
+        # the support and rate rows are projections of the tuning sweep's cells
+        spec = ExperimentSpec(
+            model="er",
+            dims=Dims([6, 6]),
+            edges=(3, 3),
+            n_list=(15,),
+            rho_grid=(0.05, 0.2, 0.8),
+            trials=2,
+            seed=4,
+            max_iter=100,
+        )
+        cells = tuning_sweep(spec)
+        best = max(cells, key=lambda row: row["mcc"])
+        (support,) = run_support_experiment(spec)
+        assert {k: support[k] for k in ("n", "rho_bar", "mcc")} == {
+            k: best[k] for k in ("n", "rho_bar", "mcc")
+        }
+        (rate,) = run_rate_experiment(spec)
+        assert rate["mean_frob_rel"] == min(row["frob_rel"] for row in cells)
 
     def test_tuning_sweep_shape(self):
         spec = ExperimentSpec(

@@ -193,9 +193,16 @@ class TestSelfcheck:
         assert a == b
 
     def test_fault_injection_detected(self, monkeypatch):
+        import teralasso.selfcheck
         from teralasso.selfcheck import run_selfcheck
 
-        monkeypatch.setenv("TERALASSO_FAULT_INJECT", "projection")
+        # the reference is off by 1e-3 I per factor; gradient-vs-dense never reads it
+        reference = teralasso.selfcheck.basis_projection
+        monkeypatch.setattr(
+            teralasso.selfcheck,
+            "basis_projection",
+            lambda A, dims: reference(A, dims).map(lambda m: m + 1e-3 * np.eye(len(m))),
+        )
         results = {name: ok for name, _, _, ok in run_selfcheck(seed=0)}
         assert not results["projection-vs-basis"]
         assert results["gradient-vs-dense"]

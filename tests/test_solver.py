@@ -62,6 +62,7 @@ class TestConfig:
             {"max_iter": 0},
             {"max_iter": -3},
             {"max_backtracks": -1},
+            {"rho_bar": (0.3, -0.1)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -79,16 +80,20 @@ class TestResolveRho:
             rho, [2.0 * np.sqrt(logp / (5 * 8)), 2.0 * np.sqrt(logp / (5 * 4))]
         )
 
-    def test_override_wins(self):
+    def test_per_factor_rho_bar(self):
+        # each factor applies the rule with its own rho_bar
         dims = Dims([4, 8])
-        rho = resolve_rho(
-            SolverConfig(rho_bar=2.0, rho_override=(0.3, 0.7)), dims, n=5
+        rho = resolve_rho(SolverConfig(rho_bar=(2.0, 0.5)), dims, n=5)
+        logp = np.log(32)
+        np.testing.assert_allclose(
+            rho, [2.0 * np.sqrt(logp / (5 * 8)), 0.5 * np.sqrt(logp / (5 * 4))]
         )
-        np.testing.assert_array_equal(rho, [0.3, 0.7])
 
-    def test_override_length_checked(self):
-        with pytest.raises(ValueError):
-            resolve_rho(SolverConfig(rho_override=(0.3,)), Dims([4, 8]), n=5)
+    @pytest.mark.parametrize("rho_bar", [(0.3,), (0.3, 0.7, 0.1)], ids=["1-tuple", "3-tuple"])
+    def test_per_factor_length_checked(self, rho_bar):
+        # a tuple of the wrong length, a 1-tuple included, never broadcasts
+        with pytest.raises(ValueError, match="rho_bar"):
+            resolve_rho(SolverConfig(rho_bar=rho_bar), Dims([4, 8]), n=5)
 
 
 class TestShrink:
@@ -198,13 +203,14 @@ class TestStepAndLineSearch:
         grad = subspace_gradient(f, g)
         rho = [0.05, 0.05]
         base_total = objective(f, g, rho)[2]
-        cand, cand_total, cand_grad, zeta, bts = line_search(
+        cand, cand_total, cand_grad, zeta, bts, dd = line_search(
             f, g, grad, rho, 10.0, SolverConfig(), base_total
         )
         assert ksum_eigensystem(cand).min_sum > 0
         assert zeta <= 10.0
         delta = cand - f
         assert cand_total <= base_total - 1e-4 / (2 * zeta) * ksum_inner(delta, delta) + 1e-9
+        assert dd == ksum_inner(delta, delta)
 
     def test_safe_step_fallback(self):
         # zero backtracks forces an immediate fall-through to the safe step
@@ -215,7 +221,7 @@ class TestStepAndLineSearch:
         grad = subspace_gradient(f, g)
         cfg = SolverConfig(max_backtracks=0)
         base_total = objective(f, g, [0.0, 0.0])[2]
-        _, _, _, zeta, bts = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
+        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
         assert zeta == pytest.approx(ksum_eigensystem(f).min_sum ** 2)
         assert bts == 0
 
@@ -260,13 +266,15 @@ class TestStepAndLineSearch:
         d_omega = FactorSet(dims, [np.eye(2), np.eye(2)])
         d_grad = FactorSet(dims, [2 * np.eye(2), 2 * np.eye(2)])
         # <dO, dG> = 2 <dO, dO> so zeta = 1/2
-        assert bb_stepsize(d_omega, d_grad, 0.123) == pytest.approx(0.5)
+        dd = ksum_inner(d_omega, d_omega)
+        assert bb_stepsize(d_omega, d_grad, 0.123, dd) == pytest.approx(0.5)
 
     def test_bb_fallback_on_negative_curvature(self):
         dims = Dims([2, 2])
         d_omega = FactorSet(dims, [np.eye(2), np.eye(2)])
         d_grad = d_omega.scale(-1.0)
-        assert bb_stepsize(d_omega, d_grad, 0.123) == 0.123
+        dd = ksum_inner(d_omega, d_omega)
+        assert bb_stepsize(d_omega, d_grad, 0.123, dd) == 0.123
 
 
 class TestKkt:
