@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import check_seed, gram_factors, read_ktns, sample_ksum_gaussian, write_ktns
@@ -30,10 +31,8 @@ from .selfcheck import run_selfcheck
 from .solver import SolverConfig, solve
 
 
-class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Bad input found by the CLI itself: one error line and exit 1."""
 
 
 def _load_config(path):
@@ -49,21 +48,42 @@ def _load_config(path):
     return config
 
 
-def _resolve(args, keys, config):
+def _resolve(args, config):
     """Merge config-file values and CLI flags; flags win.
 
-    ``keys`` are the parameters the command reads, spelled as config keys
-    (``rho-bar``); a config key outside them is an error.
+    A config value is read as its flag's text would be (a list as
+    comma-separated items) and kept as written when it equals that reading,
+    so ``1`` stays ``1`` in manifests and CSVs.  A config key the command
+    does not read is an error.
     """
-    unknown = sorted(set(config) - set(keys))
+    params = COMMANDS[args.command][2]
+    unknown = sorted(set(config) - set(params))
     if unknown:
         raise CliError(f"{args.command}: unknown config key {', '.join(map(repr, unknown))}")
-    out = dict(config)
-    for key in keys:
+    out = {}
+    for key, conv in params.items():
         val = getattr(args, key.replace("-", "_"), None)
+        if val is None and key in config:
+            val = _read_config_value(args.command, key, conv, config[key])
         if val is not None:
             out[key] = val
     return out
+
+
+def _read_config_value(command, key, conv, value):
+    if isinstance(conv, tuple):
+        if value not in conv:
+            raise CliError(f"unknown {command} {key} {value!r}; choose from {', '.join(conv)}")
+        return value
+    invalid = CliError(f"{command}: invalid value {json.dumps(value)} for config key {key!r}")
+    if isinstance(value, list) and conv not in (_int_list, _float_list):
+        raise invalid  # one value per single-value key
+    items = value if isinstance(value, list) else [value]
+    try:
+        read = conv(",".join(v if isinstance(v, str) else json.dumps(v) for v in items))
+    except ValueError:
+        raise invalid from None
+    return value if read == value else read
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict):
@@ -80,41 +100,34 @@ def _out_dir(args) -> Path:
 
 
 def _spec_from(resolved: dict) -> ExperimentSpec:
-    dims = Dims(resolved["dims"])
-    kwargs = dict(model=resolved.get("model", "er"), dims=dims)
-    if "edges" in resolved:
-        kwargs["edges"] = tuple(resolved["edges"])
-    if "ar-coeff" in resolved:
-        kwargs["ar_coeff"] = float(resolved["ar-coeff"])
-    if "n" in resolved:
-        nval = resolved["n"]
-        kwargs["n_list"] = tuple(nval) if isinstance(nval, list) else (int(nval),)
-    if "rho-grid" in resolved:
-        kwargs["rho_grid"] = tuple(resolved["rho-grid"])
-    if "trials" in resolved:
-        kwargs["trials"] = int(resolved["trials"])
-    if "seed" in resolved:
-        kwargs["seed"] = int(resolved["seed"])
-    if "max-iter" in resolved:
-        kwargs["max_iter"] = int(resolved["max-iter"])
-    return ExperimentSpec(**kwargs)
+    names = {f.name for f in fields(ExperimentSpec)}
+    kwargs = {"model": "er"}
+    for key, val in resolved.items():
+        name = "n_list" if key == "n" else key.replace("-", "_")
+        if name == "n_list" and not isinstance(val, list):
+            val = [val]  # generate draws one n
+        if name in names:
+            kwargs[name] = tuple(val) if isinstance(val, list) else val
+    return ExperimentSpec(**{**kwargs, "dims": Dims(resolved["dims"])})
+
+
+def _require(command, resolved, *keys):
+    for key in keys:
+        if key not in resolved:
+            raise CliError(f"{command}: missing required parameter '{key}'")
 
 
 def cmd_generate(args) -> int:
-    resolved = _resolve(
-        args, ["model", "dims", "edges", "ar-coeff", "n", "seed"], _load_config(args.config)
-    )
-    for req in ("dims", "n"):
-        if req not in resolved:
-            raise CliError(f"generate: missing required parameter '{req}'")
+    resolved = _resolve(args, _load_config(args.config))
+    _require("generate", resolved, "dims", "n")
     resolved.setdefault("model", "er")
     resolved.setdefault("seed", 0)
     seed = check_seed(resolved["seed"])
     spec = _spec_from(resolved)
-    out = _out_dir(args)
-    n = int(resolved["n"]) if not isinstance(resolved["n"], list) else int(resolved["n"][0])
+    n = resolved["n"]
     truth = make_truth(spec, seed)
     data = sample_ksum_gaussian(truth, n, seed)
+    out = _out_dir(args)
     with open(out / "truth.json", "w") as fh:
         fh.write(truth.to_json() + "\n")
     write_ktns(out / "samples.ktns", data)
@@ -124,20 +137,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    resolved = _resolve(
-        args,
-        ["data", "rho-bar", "max-iter", "tol-obj", "tol-kkt"],
-        _load_config(args.config),
-    )
-    if "data" not in resolved:
-        raise CliError("estimate: missing required parameter 'data'")
+    resolved = _resolve(args, _load_config(args.config))
+    _require("estimate", resolved, "data")
     resolved.setdefault("rho-bar", 0.01)
-    cfg = SolverConfig(
-        rho_bar=float(resolved["rho-bar"]),
-        max_iter=int(resolved.get("max-iter", 1000)),
-        tol_obj=float(resolved.get("tol-obj", 1e-9)),
-        tol_kkt=float(resolved.get("tol-kkt", 1e-6)),
-    )
+    cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
@@ -157,15 +160,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    resolved = _resolve(args, ["truth", "estimate"], _load_config(args.config))
-    for req in ("truth", "estimate"):
-        if req not in resolved:
-            raise CliError(f"evaluate: missing required parameter '{req}'")
+    resolved = _resolve(args, _load_config(args.config))
+    _require("evaluate", resolved, "truth", "estimate")
     try:
-        with open(resolved["truth"]) as fh:
-            truth = FactorSet.from_json(fh.read())
-        with open(resolved["estimate"]) as fh:
-            est = FactorSet.from_json(fh.read())
+        truth, est = (FactorSet.from_json(Path(resolved[key]).read_text())
+                      for key in ("truth", "estimate"))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read factor file: {exc}")
     if truth.dims.d != est.dims.d:
@@ -182,14 +181,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    resolved = _resolve(
-        args,
-        ["kind", "model", "dims", "edges", "ar-coeff", "n", "rho-grid", "rho-ratios",
-         "trials", "seed", "max-iter", "threads"],
-        _load_config(args.config),
-    )
-    if "dims" not in resolved:
-        raise CliError("sweep: missing required parameter 'dims'")
+    resolved = _resolve(args, _load_config(args.config))
+    _require("sweep", resolved, "dims")
     kind = resolved.setdefault("kind", "rate")
     # --threads is accepted for compatibility and ignored; keep it out of the
     # reproducibility manifest so manifests match whatever value is passed
@@ -199,10 +192,8 @@ def cmd_sweep(args) -> int:
         rows = run_rate_experiment(spec)
     elif kind == "support":
         rows = run_support_experiment(spec)
-    elif kind == "tuning":
-        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.get("rho-ratios", [1.0])))
     else:
-        raise CliError(f"unknown sweep kind {kind!r}")
+        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.get("rho-ratios", [1.0])))
     out = _out_dir(args)
     write_table(rows, out / f"{kind}.csv", manifest={"command": "sweep", "config": resolved})
     _write_manifest(out, "sweep", resolved)
@@ -211,7 +202,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    resolved = _resolve(args, ["seed"], _load_config(args.config))
+    resolved = _resolve(args, _load_config(args.config))
     results = run_selfcheck(seed=check_seed(resolved.get("seed", 0)))
     failed = [name for name, _, _, ok in results if not ok]
     for name, value, tol, ok in results:
@@ -231,6 +222,28 @@ def _float_list(text):
     return [float(x) for x in text.split(",")]
 
 
+_TRUTH_MODEL = {"model": ("er", "grid", "ar1"), "dims": _int_list, "edges": _int_list,
+                "ar-coeff": float}
+
+# Each command's parameters, spelled as config keys (``rho-bar``), with the
+# converter that reads the flag ``--rho-bar`` and the config value alike, or
+# the tuple of allowed values.  ``rho-ratios`` is read from config files only.
+COMMANDS = {
+    "generate": (cmd_generate, "generate truth factors and samples",
+                 {"seed": int, **_TRUTH_MODEL, "n": int}),
+    "estimate": (cmd_estimate, "fit factors to a .ktns data file",
+                 {"data": str, "rho-bar": float, "max-iter": int, "tol-kkt": float}),
+    "evaluate": (cmd_evaluate, "compare truth and estimated factors",
+                 {"truth": str, "estimate": str}),
+    "sweep": (cmd_sweep, "run an experiment sweep to CSV",
+              {"seed": int, "kind": ("rate", "support", "tuning"), **_TRUTH_MODEL, "n": _int_list,
+               "rho-grid": _float_list, "rho-ratios": _float_list, "trials": int,
+               "max-iter": int, "threads": int}),  # --threads: accepted and ignored
+    "selfcheck": (cmd_selfcheck, "run the oracle cross-check battery", {"seed": int}),
+}
+_CONFIG_ONLY = ("rho-ratios",)
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, as documented; argparse's own code 2 means an
     iteration-capped solve here."""
@@ -243,55 +256,16 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teralasso")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (fn, help_text, params) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default: cwd)")
-
-    g = sub.add_parser("generate", help="generate truth factors and samples")
-    common(g)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--model", choices=["er", "grid", "ar1"])
-    g.add_argument("--dims", type=_int_list)
-    g.add_argument("--edges", type=_int_list)
-    g.add_argument("--ar-coeff", type=float)
-    g.add_argument("--n", type=int)
-    g.set_defaults(fn=cmd_generate)
-
-    e = sub.add_parser("estimate", help="fit factors to a .ktns data file")
-    common(e)
-    e.add_argument("--data")
-    e.add_argument("--rho-bar", type=float)
-    e.add_argument("--max-iter", type=int)
-    e.add_argument("--tol-obj", type=float)
-    e.add_argument("--tol-kkt", type=float)
-    e.set_defaults(fn=cmd_estimate)
-
-    v = sub.add_parser("evaluate", help="compare truth and estimated factors")
-    common(v)
-    v.add_argument("--truth")
-    v.add_argument("--estimate")
-    v.set_defaults(fn=cmd_evaluate)
-
-    s = sub.add_parser("sweep", help="run an experiment sweep to CSV")
-    common(s)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--kind", choices=["rate", "support", "tuning"])
-    s.add_argument("--model", choices=["er", "grid", "ar1"])
-    s.add_argument("--dims", type=_int_list)
-    s.add_argument("--edges", type=_int_list)
-    s.add_argument("--ar-coeff", type=float)
-    s.add_argument("--n", type=_int_list)
-    s.add_argument("--rho-grid", type=_float_list)
-    s.add_argument("--trials", type=int)
-    s.add_argument("--max-iter", type=int)
-    s.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
-    s.set_defaults(fn=cmd_sweep)
-
-    c = sub.add_parser("selfcheck", help="run the oracle cross-check battery")
-    common(c)
-    c.add_argument("--seed", type=int)
-    c.set_defaults(fn=cmd_selfcheck)
+        if command != "selfcheck":
+            p.add_argument("--out", help="output directory (default: cwd)")
+        for key, conv in params.items():
+            if key not in _CONFIG_ONLY:
+                kind = "choices" if isinstance(conv, tuple) else "type"
+                p.add_argument(f"--{key}", **{kind: conv})
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -300,12 +274,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ValueError as exc:
-        # bad input found below the CLI (invalid dims, too many edges, negative
-        # rho, a non-PD truth): one line and exit 1, never a traceback
+        # bad input, found by the CLI or below it (invalid dims, too many
+        # edges, negative rho, a non-PD truth): one line and exit 1, never a
+        # traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

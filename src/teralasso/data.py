@@ -9,7 +9,7 @@ C-order reshape of shape (d_1, ..., d_K) with mode 1 slowest.
 from __future__ import annotations
 
 import json
-import struct
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,12 +62,11 @@ class DataTensorSet:
 
 @dataclass(frozen=True)
 class GramSet:
-    """Mode-k Gram matrices S_k and the shared trace mean tr(S_hat)/p."""
+    """Mode-k Gram matrices S_k; each tr(S_k)/d_k is the trace mean tr(S_hat)/p."""
 
     dims: Dims
     n: int
     s: tuple[np.ndarray, ...]
-    trace_mean: float
 
     @cached_property
     def centered(self) -> FactorSet:
@@ -122,8 +121,7 @@ def gram_factors(data: DataTensorSet) -> GramSet:
     for k, a in enumerate(acc):
         a /= data.n * dims.m(k)
         s.append(0.5 * (a + a.T))
-    trace_mean = float(np.sum(data.values**2)) / (data.n * dims.p)
-    return GramSet(dims, data.n, tuple(s), trace_mean)
+    return GramSet(dims, data.n, tuple(s))
 
 
 def center_gram(g: GramSet) -> FactorSet:
@@ -278,21 +276,26 @@ def write_ktns(path, data: DataTensorSet) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        fh.write(data.values.astype("<f8").tobytes())
+        # the array's own buffer: no copy unless it is not C-contiguous <f8
+        fh.write(np.ascontiguousarray(data.values, dtype="<f8").data)
 
 
 def read_ktns(path) -> DataTensorSet:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
+        if not isinstance(header, dict) or "dims" not in header or "n" not in header:
+            raise ValueError(".ktns header must be a JSON object with the keys 'dims' and 'n'")
         if header.get("dtype") != "f64" or header.get("order") != KTNS_ORDER:
             raise ValueError(f"unsupported .ktns header: {header}")
-        dims = Dims(header["dims"])
-        n = int(header["n"])
-        payload = fh.read()
-    expected = n * dims.p * struct.calcsize("<d")
-    if len(payload) != expected:
-        raise ValueError(f"truncated .ktns payload: {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n, dims.p)
+        dims, n = Dims(header["dims"]), header["n"]
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f".ktns header n must be a positive integer, got {n!r}")
+        size, expected = os.fstat(fh.fileno()).st_size - fh.tell(), n * dims.p * 8
+        if size != expected:
+            raise ValueError(f"truncated .ktns payload: {size} bytes, expected {expected}")
+        values = np.empty((n, dims.p), dtype="<f8")
+        if fh.readinto(values.data) != expected:
+            raise ValueError("truncated .ktns payload: the file shrank while it was read")
     if not np.isfinite(values).all():
         raise ValueError(".ktns payload holds non-finite values")
-    return DataTensorSet(dims, values.copy())
+    return DataTensorSet(dims, values)

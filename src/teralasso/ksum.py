@@ -72,7 +72,10 @@ class Dims:
     p: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, d):
-        d = tuple(int(x) for x in d)
+        try:
+            d = tuple(int(x) for x in d)
+        except TypeError:
+            raise ValueError(f"invalid mode dimensions {d!r}") from None
         if len(d) < 1 or any(x < 1 for x in d):
             raise ValueError(f"invalid mode dimensions {d}")
         object.__setattr__(self, "d", d)
@@ -91,7 +94,7 @@ class Dims:
         return tuple(self.p // dk for dk in self.d)
 
 
-def _symmetrize(M: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _symmetrize(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"factor must be square, got shape {M.shape}")
@@ -143,10 +146,9 @@ class FactorSet:
         return FactorSet._trusted(self.dims, [c * m for m in self.psi])
 
     @staticmethod
-    def identity(dims: Dims, scale: float = 1.0) -> "FactorSet":
-        """Factors (scale/K) I_{d_k}, whose Kronecker sum is scale * I_p."""
-        c = scale / dims.K
-        return FactorSet(dims, [c * np.eye(dk) for dk in dims.d])
+    def identity(dims: Dims) -> "FactorSet":
+        """Factors I_{d_k}/K, whose Kronecker sum is I_p."""
+        return FactorSet(dims, [np.eye(dk) / dims.K for dk in dims.d])
 
     def to_json(self) -> str:
         return json.dumps(

@@ -135,6 +135,8 @@ class ExperimentSpec:
             raise ValueError("counts must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.edges and len(self.edges) != self.dims.K:
+            raise ValueError(f"edges needs one count per factor ({self.dims.K}), got {self.edges}")
 
 
 def make_truth(spec: ExperimentSpec, trial_seed: int) -> FactorSet:

@@ -50,7 +50,6 @@ class SolverConfig:
     rho_bar: float | tuple[float, ...] = 0.0
     max_iter: int = 1000
     max_backtracks: int = 40
-    tol_obj: float = 1e-9
     tol_kkt: float = 1e-6
 
     def __post_init__(self):
@@ -58,10 +57,10 @@ class SolverConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.max_backtracks < 0:
             raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
-        if self.tol_obj <= 0 or self.tol_kkt <= 0:
-            raise ValueError("tol_obj and tol_kkt must be positive")
-        if np.any(np.asarray(self.rho_bar) < 0):
-            raise ValueError("rho_bar must be nonnegative")
+        if not self.tol_kkt > 0:
+            raise ValueError(f"tol_kkt must be positive, got {self.tol_kkt}")
+        if not np.all(np.isfinite(self.rho_bar) & (np.asarray(self.rho_bar) >= 0)):
+            raise ValueError(f"rho_bar must be finite and nonnegative, got {self.rho_bar}")
 
 
 @dataclass
@@ -172,6 +171,9 @@ _SIGMA = 1e-4
 # backtracking factor, and the trial stepsize of a solve's first iteration
 _BACKTRACK_C = 0.5
 _ZETA0 = 1e-2
+# relative objective change under which a KKT-converged solve is labelled
+# "objective-tol" rather than "kkt-tol"; the stop itself is gated on KKT
+_TOL_OBJ = 1e-9
 
 
 def line_search(
@@ -328,9 +330,7 @@ def solve(
         # well before first-order optimality holds
         if it >= 3 and kkt < config.tol_kkt:
             rel_change = abs(prev_total - total) / max(abs(prev_total), 1.0)
-            report.termination = (
-                "objective-tol" if rel_change < config.tol_obj else "kkt-tol"
-            )
+            report.termination = "objective-tol" if rel_change < _TOL_OBJ else "kkt-tol"
             break
     report.final_kkt = kkt
     return f, report

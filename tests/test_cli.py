@@ -218,12 +218,26 @@ class TestBadInput:
             ["estimate", "--data", "{good}", "--max-iter", "0"],
             ["sweep", "--kind", "support", "--model", "er", "--dims", "4,4", "--edges", "2,2",
              "--n", "2", "--rho-grid", "0.1", "--trials", "1", "--max-iter", "-3"],
+            ["generate", "--dims", "4,4", "--config", "{nlist}"],
+            ["generate", "--dims", "4,4", "--n", "2", "--config", "{seedfloat}"],
+            ["generate", "--dims", "4,4", "--n", "2", "--config", "{edgesint}"],
+            ["estimate", "--data", "{good}", "--config", "{rhobarlist}"],
+            ["estimate", "--data", "{good}", "--config", "{maxiterfloat}"],
+            ["estimate", "--config", "{datanumber}"],
+            ["selfcheck", "--config", "{seedlist}"],
+            ["estimate", "--data", "{hdrlist}"],
+            ["estimate", "--data", "{hdrnodims}"],
+            ["estimate", "--data", "{hdrnzero}"],
+            ["estimate", "--data", "{good}", "--rho-bar", "nan"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
              "extra-factor", "short-factor", "nan-factor", "missing-key",
              "factor-seed-range", "config-rho_bar", "config-seed",
-             "estimate-max-iter-zero", "sweep-max-iter-negative"],
+             "estimate-max-iter-zero", "sweep-max-iter-negative",
+             "config-n-list", "config-seed-float", "config-edges-scalar", "config-rho-bar-list",
+             "config-max-iter-float", "config-data-number", "config-selfcheck-seed-list",
+             "header-not-object", "header-no-dims", "header-n-zero", "nan-rho"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -239,13 +253,31 @@ class TestBadInput:
             # config keys estimate does not read: rho-bar is its spelling, seed not its input
             "rhobar": {"rho_bar": 5.0},
             "seed": {"seed": 7},
+            # config values read as their flag's text: one value per scalar key
+            "nlist": {"n": [2, 3]},
+            "seedfloat": {"seed": 1.7},
+            "edgesint": {"edges": 3},
+            "rhobarlist": {"rho-bar": [1, 2]},
+            "maxiterfloat": {"max-iter": 2.5},
+            "datanumber": {"data": 5},
+            "seedlist": {"seed": [1]},
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
                  "truth": tmp_path / "truth.json"}
         for name, blob in json_files.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps(blob))
-        argv = [a.format(**files) for a in argv] + ["--out", str(tmp_path / "out")]
+        ktns_headers = {
+            "hdrlist": b"[4, 4]",
+            "hdrnodims": b'{"n": 1, "dtype": "f64", "order": "mode1-slowest"}',
+            "hdrnzero": b'{"dims": [4, 4], "n": 0, "dtype": "f64", "order": "mode1-slowest"}',
+        }
+        for name, header in ktns_headers.items():
+            files[name] = tmp_path / f"{name}.ktns"
+            files[name].write_bytes(header + b"\n" + bytes(128))
+        argv = [a.format(**files) for a in argv]
+        if argv[0] != "selfcheck":  # selfcheck writes no files and takes no --out
+            argv += ["--out", str(tmp_path / "out")]
         proc = run_subprocess(argv)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -260,15 +292,28 @@ class TestUsageErrors:
         "argv",
         [["generate", "--bogus", "1"], ["generate", "--dims", "x"],
          ["generate", "--threads", "2", "--dims", "4,4", "--n", "2"],
-         ["estimate", "--seed", "1"], ["evaluate", "--seed", "1"]],
+         ["estimate", "--seed", "1"], ["evaluate", "--seed", "1"],
+         ["sweep", "--rho-ratios", "1", "--dims", "4,4"]],
         ids=["unknown-flag", "bad-value", "threads-off-sweep", "estimate-seed",
-             "evaluate-seed"],
+             "evaluate-seed", "rho-ratios-config-only"],
     )
     def test_exit_one(self, tmp_path, argv):
         proc = run_subprocess(argv + ["--out", str(tmp_path)])
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: " in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "--data", "x.ktns", "--tol-obj", "1e-9"], ["selfcheck", "--out", "x"]],
+        ids=["estimate-tol-obj", "selfcheck-out"],
+    )
+    def test_removed_flag(self, argv, capsys):
+        # the objective tolerance is a fixed constant, and selfcheck writes no files
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSelfcheck:

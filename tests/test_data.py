@@ -76,16 +76,19 @@ class TestGramFactors:
         g = gram_factors(DataTensorSet(dims, x[None, :]))
         np.testing.assert_allclose(g.s[0], [[0.5, 0.0], [0.0, 0.0]])
         np.testing.assert_allclose(g.s[1], [[0.5, 0.0], [0.0, 0.0]])
-        assert g.trace_mean == pytest.approx(0.25)
+        # tr(S_k)/d_k is the trace mean tr(S_hat)/p = 1/4 for every k
+        for k in range(dims.K):
+            assert np.trace(g.s[k]) / dims.d[k] == pytest.approx(0.25)
 
     def test_traces_agree_across_modes(self):
         rng = np.random.default_rng(2)
         dims = Dims([3, 4, 2])
         data = DataTensorSet(dims, rng.standard_normal((5, dims.p)))
         g = gram_factors(data)
+        trace_mean = float(np.sum(data.values**2)) / (data.n * dims.p)  # tr(S_hat)/p
         for k in range(dims.K):
             assert dims.m(k) * np.trace(g.s[k]) == pytest.approx(
-                dims.p * g.trace_mean, abs=1e-10
+                dims.p * trace_mean, abs=1e-10
             )
 
     def test_block_average_of_dense_gram(self):
@@ -140,7 +143,10 @@ class TestGramFactors:
         g = gram_factors(data)
         s, trace_mean = self.per_replicate_reference(data)
         assert all(np.array_equal(a, b) for a, b in zip(g.s, s))
-        assert g.trace_mean == trace_mean
+        # the field that equalled trace_mean bit for bit is gone; tr(S_k)/d_k
+        # sums in another order, so it agrees to rounding
+        for k in range(data.dims.K):
+            assert np.trace(g.s[k]) / data.dims.d[k] == pytest.approx(trace_mean, rel=1e-14)
 
     def test_center_gram_is_projection(self):
         rng = np.random.default_rng(5)
@@ -345,9 +351,44 @@ class TestKtnsFormat:
         path = tmp_path / "x.ktns"
         write_ktns(path, data)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="truncated"):
+        for bad in (raw[:-8], raw + bytes(8)):  # short and over-long payloads
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="truncated"):
+                read_ktns(path)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (b"[2, 2]", "JSON object"),
+            (b'{"n": 1, "dtype": "f64", "order": "mode1-slowest"}', "'dims'"),
+            (b'{"dims": [2, 2], "dtype": "f64", "order": "mode1-slowest"}', "'n'"),
+            (b'{"dims": [2, 2], "n": 0, "dtype": "f64", "order": "mode1-slowest"}', "n must"),
+            (b'{"dims": [2, 2], "n": "1", "dtype": "f64", "order": "mode1-slowest"}', "n must"),
+            (b'{"dims": 4, "n": 1, "dtype": "f64", "order": "mode1-slowest"}', "dimensions"),
+        ],
+        ids=["not-object", "no-dims", "no-n", "n-zero", "n-string", "dims-scalar"],
+    )
+    def test_malformed_header(self, tmp_path, header, match):
+        # rejected by name, as FactorSet.from_json rejects a malformed factor file
+        path = tmp_path / "x.ktns"
+        path.write_bytes(header + b"\n" + bytes(32))
+        with pytest.raises(ValueError, match=match):
             read_ktns(path)
+
+    def test_io_copies_no_payload(self, tmp_path):
+        # the writer sends the array's own buffer; the reader fills one array
+        data = DataTensorSet(Dims([50, 40]), np.ones((100, 2000)))
+        path = tmp_path / "x.ktns"
+        peaks = []
+        for step in (lambda: write_ktns(path, data), lambda: read_ktns(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 * data.values.nbytes
+        assert peaks[1] < 1.5 * data.values.nbytes
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "x.ktns"

@@ -220,6 +220,9 @@ class TestExperimentSpec:
         for cap in (0, -3):
             with pytest.raises(ValueError, match="max_iter"):
                 ExperimentSpec(model="er", dims=Dims([4, 4]), max_iter=cap)
+        for edges in ((3,), (3, 3, 3)):  # one count per factor, never truncated
+            with pytest.raises(ValueError, match="edges"):
+                ExperimentSpec(model="er", dims=Dims([4, 4]), edges=edges)
 
     def test_make_truth_models(self):
         dims = Dims([9, 9])

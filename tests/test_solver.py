@@ -35,7 +35,7 @@ from teralasso.solver import (
 
 def identity_gram(dims, n=10):
     """GramSet with every S_k = I, whose solution is Omega = I for rho = 0."""
-    return GramSet(dims, n, tuple(np.eye(d) for d in dims.d), 1.0 * dims.K)
+    return GramSet(dims, n, tuple(np.eye(d) for d in dims.d))
 
 
 def random_problem(dims, n, seed, pd_scale=0.5):
@@ -56,13 +56,15 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tol_obj": 0.0},
             {"tol_kkt": -1.0},
             {"rho_bar": -0.5},
             {"max_iter": 0},
             {"max_iter": -3},
             {"max_backtracks": -1},
             {"rho_bar": (0.3, -0.1)},
+            {"rho_bar": float("nan")},
+            {"rho_bar": (0.3, float("inf"))},
+            {"tol_kkt": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
