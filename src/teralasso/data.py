@@ -19,6 +19,7 @@ from .ksum import (
     Dims,
     FactorSet,
     NotPositiveDefiniteError,
+    eigsum_grid,
     ksum_eigensystem,
 )
 
@@ -165,7 +166,7 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
     spec = ksum_eigensystem(f)
     if spec.min_sum <= 0.0:
         raise NotPositiveDefiniteError(spec.min_sum)
-    scale = 1.0 / np.sqrt(spec.grid.reshape(-1))
+    scale = 1.0 / np.sqrt(eigsum_grid(spec.eigvals).reshape(-1))
     dims = f.dims
     rng = np.random.Generator(bitgen)
     # a snapshot of the fresh generator (counter 0, empty buffer); setting it

@@ -39,6 +39,9 @@ __all__ = [
 
 # largest p that kron_sum_dense and proj_ksum_dense accept
 _DENSE_LIMIT = 4096
+# entries per slab of SpectrumSet.grid_sums: its two 512 KB slab buffers fit
+# in a core's L2 cache
+_SLAB = 2**16
 
 
 class DenseLimitError(ValueError):
@@ -189,16 +192,44 @@ class SpectrumSet:
 
     @cached_property
     def min_sum(self) -> float:
-        # equals grid.min() exactly: rounding is monotone
+        # equals eigsum_grid(eigvals).min() exactly: rounding is monotone
         return float(sum(v.min() for v in self.eigvals))
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        """``eigsum_grid(eigvals)``: p floats, built on first use and freed
-        with the spectrum.  Read-only, since every reader shares it."""
-        grid = eigsum_grid(self.eigvals)
-        grid.flags.writeable = False
-        return grid
+    def grid_sums(self) -> tuple[float, tuple[np.ndarray, ...], float]:
+        """(sum log lambda, the K per-mode marginals of 1/lambda, sum 1/lambda)
+        over the p eigenvalue sums lambda, in one pass that never holds them all.
+
+        The grid is walked in slabs of mode-1 rows, each v_1[i:i+r] (+) the
+        sub-grid of modes 2..K, written into a buffer of at most ``_SLAB``
+        entries (one row, if a row is longer) beside a second one for its logs.
+        The slab adds mode 1 last, so for K >= 3 its entries can differ from
+        ``eigsum_grid(eigvals)`` in the last bit.  With K <= 2 and one slab
+        every reduction is the one a whole grid would make.
+        """
+        v1, rest = self.eigvals[0], self.eigvals[1:]
+        # K = 1 walks a grid with a second mode of one zero eigenvalue
+        tail = eigsum_grid(rest or (np.zeros(1),))
+        rows = max(1, _SLAB // tail.size)
+        buf = np.empty((2, min(rows, len(v1)), tail.size))
+        logdet = total = 0.0
+        row_sums = np.empty(len(v1))
+        col_sums = np.zeros(tail.size)
+        for i in range(0, len(v1), rows):
+            slab, work = buf[:, : len(v1) - i]
+            np.add.outer(v1[i : i + rows], tail.ravel(), out=slab)
+            logdet += float(np.log(slab, out=work).sum())
+            np.divide(1.0, slab, out=slab)
+            total += float(slab.sum())
+            slab.sum(axis=1, out=row_sums[i : i + rows])
+            col_sums += slab.sum(axis=0)
+        cols, modes = col_sums.reshape(tail.shape), range(len(rest))
+        marginals = (row_sums,) + tuple(
+            cols.sum(axis=tuple(a for a in modes if a != k)) for k in modes
+        )
+        for m in marginals:
+            m.flags.writeable = False  # every reader shares them
+        return logdet, marginals, total
 
     @property
     def max_sum(self) -> float:
@@ -252,7 +283,7 @@ def _check_pd(s: SpectrumSet) -> None:
 def ksum_logdet(s: SpectrumSet) -> float:
     """log|Omega| from the factor spectra, never forming Omega."""
     _check_pd(s)
-    return float(np.sum(np.log(s.grid)))
+    return s.grid_sums[0]
 
 
 def proj_ksum_dense(A: np.ndarray, dims: Dims) -> FactorSet:
@@ -285,18 +316,16 @@ def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
 
     G_k = U_k diag(g_k) U_k' with
     g_k[i] = (1/m_k) sum_{tuples, i_k = i} 1/lambda  -  ((K-1)/K) (sum 1/lambda)/p,
-    one O(pK) sweep over the eigenvalue-sum grid.
+    read from the one pass of :attr:`SpectrumSet.grid_sums`.
     """
     _check_pd(s)
-    inv = 1.0 / s.grid
-    total = float(inv.sum())
+    _, marginals, total = s.grid_sums
     dims = s.dims
     K = dims.K
     shift = (K - 1) / K * total / dims.p
     factors = []
     for k in range(K):
-        axes = tuple(a for a in range(K) if a != k)
-        g = inv.sum(axis=axes) / dims.m(k) - shift
+        g = marginals[k] / dims.m(k) - shift
         U = s.eigvecs[k]
         G = (U * g) @ U.T  # not exactly symmetric in floating point
         factors.append(0.5 * (G + G.T))

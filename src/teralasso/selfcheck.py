@@ -60,8 +60,12 @@ def check_objective(rng) -> float:
     for k, psi in enumerate(f.psi):
         off = np.abs(psi).sum() - np.abs(np.diag(psi)).sum()
         pen += rho[k] * dims.m(k) * off
-    sign, logdet = np.linalg.slogdet(omega)
-    ref = -logdet + float(np.sum(s_hat * omega)) + pen
+    # the eigenvalues, not the slogdet sign: that sign is +1 for an even
+    # number of negative eigenvalues
+    w = np.linalg.eigvalsh(omega)
+    if w.min() <= 0:
+        raise ValueError("objective-vs-dense: the dense Omega is not positive definite")
+    ref = -float(np.log(w).sum()) + float(np.sum(s_hat * omega)) + pen
     return abs(total - ref)
 
 

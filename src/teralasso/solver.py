@@ -35,7 +35,6 @@ __all__ = [
     "smooth_objective",
     "shrink_offdiag",
     "subspace_gradient",
-    "quad_model",
     "ista_step",
     "line_search",
     "bb_stepsize",
@@ -59,7 +58,8 @@ class SolverConfig:
             raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
         if not self.tol_kkt > 0:
             raise ValueError(f"tol_kkt must be positive, got {self.tol_kkt}")
-        if not np.all(np.isfinite(self.rho_bar) & (np.asarray(self.rho_bar) >= 0)):
+        rho_bar = np.asarray(self.rho_bar, dtype=float)  # an int of any size too
+        if not np.all(np.isfinite(rho_bar) & (rho_bar >= 0)):
             raise ValueError(f"rho_bar must be finite and nonnegative, got {self.rho_bar}")
 
 
@@ -88,14 +88,18 @@ class SolverReport:
 def resolve_rho(config: SolverConfig, dims: Dims, n: int) -> np.ndarray:
     """Per-factor penalties rho_k = rho_bar_k * sqrt(log p / (n m_k)).
 
-    A scalar ``rho_bar`` serves every factor; a tuple gives one per factor."""
+    A scalar ``rho_bar`` serves every factor; a tuple gives one per factor.
+    A penalty whose weight rho_k m_k in the objective overflows is rejected."""
     rho_bar = config.rho_bar
     if np.ndim(rho_bar) == 0:
         rho_bar = (rho_bar,) * dims.K
     elif len(rho_bar) != dims.K:
         raise ValueError(f"rho_bar must be a scalar or {dims.K} values, got {len(rho_bar)}")
     logp = math.log(dims.p) if dims.p > 1 else 1.0
-    return np.array([rb * math.sqrt(logp / (n * dims.m(k))) for k, rb in enumerate(rho_bar)])
+    rho = [rb * math.sqrt(logp / (n * dims.m(k))) for k, rb in enumerate(rho_bar)]
+    if not all(math.isfinite(r * m) for r, m in zip(rho, dims.ms)):
+        raise ValueError(f"rho_bar {config.rho_bar} gives a penalty rho_k m_k that is not finite")
+    return np.array(rho)
 
 
 def smooth_objective(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> float:
@@ -133,24 +137,6 @@ def subspace_gradient(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = N
     return g.centered - proj_inverse_spectrum(spectrum)
 
 
-def quad_model(
-    candidate: FactorSet,
-    base: FactorSet,
-    grad: FactorSet,
-    zeta: float,
-    base_smooth: float,
-) -> float:
-    """Quadratic upper model of the smooth objective around the base point."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    delta = candidate - base
-    return (
-        base_smooth
-        + ksum_inner(delta, grad)
-        + ksum_inner(delta, delta) / (2.0 * zeta)
-    )
-
-
 def ista_step(f: FactorSet, grad: FactorSet, rho, zeta: float) -> FactorSet:
     """One proximal gradient step, independently per factor."""
     if zeta <= 0:
@@ -184,6 +170,7 @@ def line_search(
     zeta_start: float,
     config: SolverConfig,
     base_total: float,
+    eig_bound: float,
 ) -> tuple[FactorSet, float, FactorSet, float, int, float]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
@@ -192,9 +179,12 @@ def line_search(
     F(cand) <= F(f) - sigma / (2 zeta) <delta, delta>, delta = cand - f, with
     sigma = 1e-4 and ``base_total`` = F(f).  This is SpaRSA's acceptance with
     memory M = 0, so descent is monotone.  Every PD candidate under the
-    quadratic model (:func:`quad_model`) satisfies it with sigma = 1, so it
-    accepts every step that test accepts.  After ``max_backtracks``
-    rejections the safe step (min eigenvalue of Omega_t)^2 is tried.
+    quadratic model F_s(f) + <delta, grad> + <delta, delta> / (2 zeta) of the
+    smooth part F_s satisfies it with sigma = 1, so it accepts every step that
+    test accepts.  After ``max_backtracks`` rejections the safe step
+    min(a^2, (min eigenvalue of Omega_t)^2) is tried, with a = ``eig_bound``,
+    the lower bound 1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of
+    every iterate.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
     zeta, number of backtracks, <delta, delta> of the accepted step).
@@ -222,7 +212,7 @@ def line_search(
         if got is not None:
             return got
         zeta = _BACKTRACK_C * zeta
-    zeta_safe = ksum_eigensystem(f).min_sum**2
+    zeta_safe = min(eig_bound, ksum_eigensystem(f).min_sum) ** 2
     got = attempt(zeta_safe, config.max_backtracks)
     if got is None:
         raise RuntimeError(
@@ -300,9 +290,12 @@ def solve(
         raise ValueError("initial iterate must be positive definite")
     grad = subspace_gradient(f, g, spectrum)
     total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
-    del spectrum  # its grid holds p floats: free them before the loop builds its own
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
+    # the paper's lower bound on the eigenvalues of every iterate; S_k is PSD,
+    # so its spectral norm is its largest eigenvalue
+    bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, dims.d, rho))
+    eig_bound = 1.0 / bound if bound > 0 else math.inf
 
     report = SolverReport()
     report.objective_trace.append(total)
@@ -310,7 +303,7 @@ def solve(
 
     for it in range(1, config.max_iter + 1):
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, zeta_next, config, total
+            f, g, grad, rho, zeta_next, config, total, eig_bound
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")

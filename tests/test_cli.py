@@ -115,6 +115,17 @@ class TestEstimate:
         assert "'rho_bar', 'seed'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_integer_rho_bar_beyond_int64(self, dataset, tmp_path, capsys):
+        # a config integer of any size is a float penalty, as its flag reads it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho-bar": 2**70}))
+        code = run(
+            ["estimate", "--data", str(dataset / "samples.ktns"), "--config", str(cfg),
+             "--max-iter", "3", "--out", str(tmp_path / "f")]
+        )
+        assert code in (0, 2)
+        assert capsys.readouterr().err == ""
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(
             ["estimate", "--data", str(tmp_path / "nope.ktns"), "--out", str(tmp_path)]
@@ -229,6 +240,9 @@ class TestBadInput:
             ["estimate", "--data", "{hdrnodims}"],
             ["estimate", "--data", "{hdrnzero}"],
             ["estimate", "--data", "{good}", "--rho-bar", "nan"],
+            ["estimate", "--data", "{good}", "--rho-bar", "1e308"],
+            ["sweep", "--kind", "support", "--model", "er", "--dims", "4,4", "--edges", "2,2",
+             "--n", "2", "--trials", "1", "--config", "{rhogridhuge}"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -237,7 +251,8 @@ class TestBadInput:
              "estimate-max-iter-zero", "sweep-max-iter-negative",
              "config-n-list", "config-seed-float", "config-edges-scalar", "config-rho-bar-list",
              "config-max-iter-float", "config-data-number", "config-selfcheck-seed-list",
-             "header-not-object", "header-no-dims", "header-n-zero", "nan-rho"],
+             "header-not-object", "header-no-dims", "header-n-zero", "nan-rho",
+             "overflow-rho", "config-rho-grid-overflow"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -261,6 +276,7 @@ class TestBadInput:
             "maxiterfloat": {"max-iter": 2.5},
             "datanumber": {"data": 5},
             "seedlist": {"seed": [1]},
+            "rhogridhuge": {"rho-grid": [1e308]},
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
                  "truth": tmp_path / "truth.json"}

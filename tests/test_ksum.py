@@ -372,8 +372,8 @@ def factor_sets(draw, pd=False):
 
 
 class TestGridClosedForms:
-    """The grid-free shortcuts equal the grid computations exactly, and a
-    spectrum builds its grid once for every computation that needs it."""
+    """The grid-free shortcuts equal the grid computations, and a spectrum
+    makes one slab pass for every computation that needs it."""
 
     @settings(max_examples=150, deadline=None)
     @given(factor_sets())
@@ -383,14 +383,41 @@ class TestGridClosedForms:
 
     @settings(max_examples=150, deadline=None)
     @given(factor_sets(pd=True))
-    def test_spectrum_builds_one_grid(self, f):
+    def test_spectrum_makes_one_pass(self, f):
+        # log-det and projection share one pass, which builds one sub-grid of
+        # the modes after the first and never the p-entry grid
         s = ksum_eigensystem(f)
-        with mock.patch.object(teralasso.ksum, "eigsum_grid", wraps=eigsum_grid) as built:
-            ksum_logdet(s)
+        sizes = []
+
+        def sized_grid(vals):
+            out = eigsum_grid(vals)
+            sizes.append(out.size)
+            return out
+
+        with mock.patch.object(teralasso.ksum, "eigsum_grid", sized_grid):
+            logdet = ksum_logdet(s)
             proj_inverse_spectrum(s)
-        assert built.call_count == 1
-        assert s.min_sum == float(s.grid.min())
-        np.testing.assert_array_equal(s.grid, eigsum_grid(s.eigvals))
+            assert ksum_logdet(s) == logdet
+        assert sizes == [f.dims.m(0)]
+        assert s.min_sum == float(eigsum_grid(s.eigvals).min())
+
+    @pytest.mark.parametrize("slab", [1, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(factor_sets(pd=True))
+    def test_slab_pass_matches_grid(self, slab, f):
+        # slabs far smaller than the grid: several of them, the last ragged
+        s = ksum_eigensystem(f)
+        with mock.patch.object(teralasso.ksum, "_SLAB", slab):
+            logdet, marginals, total = s.grid_sums
+        logs = np.log(eigsum_grid(s.eigvals))
+        inv = 1.0 / eigsum_grid(s.eigvals)
+        K = f.dims.K
+        assert abs(logdet - logs.sum()) <= 1e-12 * np.abs(logs).sum()
+        assert total == pytest.approx(inv.sum(), rel=1e-12)
+        assert len(marginals) == K
+        for k in range(K):
+            ref = inv.sum(axis=tuple(a for a in range(K) if a != k))
+            np.testing.assert_allclose(marginals[k], ref, rtol=1e-12)
 
 
 @st.composite

@@ -24,7 +24,6 @@ from teralasso.solver import (
     kkt_residual,
     line_search,
     objective,
-    quad_model,
     resolve_rho,
     shrink_offdiag,
     smooth_objective,
@@ -36,6 +35,27 @@ from teralasso.solver import (
 def identity_gram(dims, n=10):
     """GramSet with every S_k = I, whose solution is Omega = I for rho = 0."""
     return GramSet(dims, n, tuple(np.eye(d) for d in dims.d))
+
+
+def quad_model(candidate, base, grad, zeta, base_smooth):
+    """Quadratic upper model of the smooth objective around the base point:
+    the acceptance test that the line search's composite decrease implies."""
+    if zeta <= 0:
+        raise ValueError("zeta must be positive")
+    delta = candidate - base
+    return (
+        base_smooth
+        + ksum_inner(delta, grad)
+        + ksum_inner(delta, delta) / (2.0 * zeta)
+    )
+
+
+def eig_bound(g, rho):
+    """The paper's lower bound a = 1 / sum_k (||S_k||_2 + d_k rho_k) on the
+    eigenvalues of every iterate."""
+    return 1.0 / sum(
+        float(np.linalg.norm(s, 2)) + d * r for s, d, r in zip(g.s, g.dims.d, rho)
+    )
 
 
 def random_problem(dims, n, seed, pd_scale=0.5):
@@ -206,7 +226,7 @@ class TestStepAndLineSearch:
         rho = [0.05, 0.05]
         base_total = objective(f, g, rho)[2]
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, 10.0, SolverConfig(), base_total
+            f, g, grad, rho, 10.0, SolverConfig(), base_total, eig_bound(g, rho)
         )
         assert ksum_eigensystem(cand).min_sum > 0
         assert zeta <= 10.0
@@ -216,20 +236,40 @@ class TestStepAndLineSearch:
 
     def test_safe_step_fallback(self):
         # zero backtracks forces an immediate fall-through to the safe step
-        # (min eig of the iterate)^2, which must always be accepted
+        # min(a, min eig of the iterate)^2, which must always be accepted
         dims = Dims([2, 2])
         g = identity_gram(dims)
         f = FactorSet.identity(dims)
         grad = subspace_gradient(f, g)
         cfg = SolverConfig(max_backtracks=0)
         base_total = objective(f, g, [0.0, 0.0])[2]
-        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
-        assert zeta == pytest.approx(ksum_eigensystem(f).min_sum ** 2)
+        a = eig_bound(g, [0.0, 0.0])
+        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total, a)
+        assert zeta == pytest.approx(min(a, ksum_eigensystem(f).min_sum) ** 2)
         assert bts == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_safe_step_below_eigenvalue_bound(self, n):
+        # from I with a huge first trial, (min eig of the iterate)^2 = 1 is not
+        # an acceptable step on these problems; min(a, min eig)^2 is
+        dims = Dims([5])
+        _, g = random_problem(dims, n=n, seed=14)
+        f = FactorSet.identity(dims)
+        grad = subspace_gradient(f, g)
+        rho = resolve_rho(SolverConfig(rho_bar=0.3), dims, g.n)
+        base_total = objective(f, g, rho)[2]
+        a = eig_bound(g, rho)
+        cand, cand_total, _, zeta, bts, dd = line_search(
+            f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total, a
+        )
+        assert zeta == a**2 < ksum_eigensystem(f).min_sum ** 2
+        assert bts == 0
+        assert ksum_eigensystem(cand).min_sum > 0
+        assert cand_total <= base_total - 1e-4 / (2 * zeta) * dd + 1e-9
 
     def test_model_acceptance_implies_decrease(self, monkeypatch):
         # with sigma = 1 the composite-decrease rule accepts every PD candidate
-        # under the quadratic model, the safe step (min eig)^2 among them
+        # under the quadratic model, the safe step min(a, min eig)^2 among them
         monkeypatch.setattr(teralasso.solver, "_SIGMA", 1.0)
         rng = np.random.default_rng(20)
         under_model = safe_steps = 0
@@ -242,7 +282,8 @@ class TestStepAndLineSearch:
             rho = resolve_rho(SolverConfig(rho_bar=float(rng.uniform(0, 2))), dims, g.n)
             base_smooth = smooth_objective(f, g, spec)
             base_total = base_smooth + objective(f, g, rho)[1]
-            safe = spec.min_sum**2
+            a = eig_bound(g, rho)
+            safe = min(a, spec.min_sum) ** 2
             for zeta in [*np.logspace(-4, 2, 13), safe]:
                 cand = ista_step(f, grad, rho, zeta)
                 if ksum_eigensystem(cand).min_sum <= 0:
@@ -251,14 +292,14 @@ class TestStepAndLineSearch:
                     continue
                 under_model += 1
                 got = line_search(
-                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total
+                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total, a
                 )
                 assert got[3] == zeta and got[4] == 0
                 if zeta == safe:
                     # the fallback after max_backtracks rejections takes it too
                     safe_steps += 1
                     got = line_search(
-                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
+                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total, a
                     )
                     assert got[3] == safe and got[4] == 0
         assert under_model > 100 and safe_steps > 10
@@ -441,18 +482,17 @@ class TestSolve:
         assert report.final_kkt < cfg.tol_kkt
         assert kkt_residual(est, g, resolve_rho(cfg, dims, g.n)) < cfg.tol_kkt
 
-    def test_solve_holds_one_grid(self):
-        # no spectrum, and so no p-float grid, outlives the line-search attempt
-        # that built it: peak memory stays under three grids' worth
-        dims = Dims([40, 40, 40])
+    def test_solve_holds_no_grid(self):
+        # the log-det and gradient walk the eigenvalue-sum grid in slabs, so a
+        # p = 10^6 solve peaks under half of one p-float grid
+        dims = Dims([100, 100, 100])
         off = [0.1 * np.diag(np.ones(d - 1), 1) for d in dims.d]
         truth = FactorSet(dims, [np.eye(d) + a + a.T for d, a in zip(dims.d, off)])
         g = gram_factors(sample_ksum_gaussian(truth, 2, 19))
-        grid_bytes = eigsum_grid(ksum_eigensystem(truth).eigvals).nbytes
         tracemalloc.start()
         try:
             solve(g, config=SolverConfig(rho_bar=0.5, max_iter=30))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * grid_bytes
+        assert peak < 8 * dims.p / 2
