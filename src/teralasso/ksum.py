@@ -39,8 +39,9 @@ __all__ = [
 
 # largest p that kron_sum_dense and proj_ksum_dense accept
 _DENSE_LIMIT = 4096
-# entries per slab of SpectrumSet.grid_sums: its two 512 KB slab buffers fit
-# in a core's L2 cache
+# entries per slab of the grid walk in SpectrumSet.grid_sums: its two 512 KB
+# slab buffers fit in a core's L2 cache.  A grid of at most one slab is held
+# whole instead, as it costs no more than the slab buffers.
 _SLAB = 2**16
 
 
@@ -198,38 +199,17 @@ class SpectrumSet:
     @cached_property
     def grid_sums(self) -> tuple[float, tuple[np.ndarray, ...], float]:
         """(sum log lambda, the K per-mode marginals of 1/lambda, sum 1/lambda)
-        over the p eigenvalue sums lambda, in one pass that never holds them all.
-
-        The grid is walked in slabs of mode-1 rows, each v_1[i:i+r] (+) the
-        sub-grid of modes 2..K, written into a buffer of at most ``_SLAB``
-        entries (one row, if a row is longer) beside a second one for its logs.
-        The slab adds mode 1 last, so for K >= 3 its entries can differ from
-        ``eigsum_grid(eigvals)`` in the last bit.  With K <= 2 and one slab
-        every reduction is the one a whole grid would make.
-        """
-        v1, rest = self.eigvals[0], self.eigvals[1:]
-        # K = 1 walks a grid with a second mode of one zero eigenvalue
-        tail = eigsum_grid(rest or (np.zeros(1),))
-        rows = max(1, _SLAB // tail.size)
-        buf = np.empty((2, min(rows, len(v1)), tail.size))
-        logdet = total = 0.0
-        row_sums = np.empty(len(v1))
-        col_sums = np.zeros(tail.size)
-        for i in range(0, len(v1), rows):
-            slab, work = buf[:, : len(v1) - i]
-            np.add.outer(v1[i : i + rows], tail.ravel(), out=slab)
-            logdet += float(np.log(slab, out=work).sum())
-            np.divide(1.0, slab, out=slab)
-            total += float(slab.sum())
-            slab.sum(axis=1, out=row_sums[i : i + rows])
-            col_sums += slab.sum(axis=0)
-        cols, modes = col_sums.reshape(tail.shape), range(len(rest))
-        marginals = (row_sums,) + tuple(
-            cols.sum(axis=tuple(a for a in modes if a != k)) for k in modes
-        )
-        for m in marginals:
+        over the p eigenvalue sums lambda, from one pass of :func:`_slab_sums`
+        that never holds them all."""
+        sums = _slab_sums(self.eigvals)
+        for m in sums[1]:
             m.flags.writeable = False  # every reader shares them
-        return logdet, marginals, total
+        return sums
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        # the whole grid, which ksum reads only when it fits in one slab
+        return eigsum_grid(self.eigvals)
 
     @property
     def max_sum(self) -> float:
@@ -263,6 +243,58 @@ def eigsum_grid(eigvals) -> np.ndarray:
     return reduce(np.add.outer, eigvals)
 
 
+def _marginals(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sums of ``a`` over all axes but one, for each axis."""
+    return tuple(
+        a.sum(axis=tuple(b for b in range(a.ndim) if b != k)) for k in range(a.ndim)
+    )
+
+
+def _slab_sums(vals) -> tuple[float, tuple[np.ndarray, ...], float]:
+    """:attr:`SpectrumSet.grid_sums` of ``eigsum_grid(vals)``, walked in slabs.
+
+    The grid splits after the first mode j whose trailing modes span at most
+    ``_SLAB`` entries (after mode K-1 if none does).  A slab is some rows of
+    the head grid of modes 1..j (+) modes j+1..K, added in ``eigsum_grid``'s
+    order, so every entry is the grid's to the bit.  It is laid out (mode K,
+    head rows, modes j+1..K-1), so the final add runs along rows of about
+    ``_SLAB`` / d_K entries, in a buffer of at most ``_SLAB`` entries (one head
+    row, if that is longer) beside a second one for its logs.
+    """
+    d, K = [len(v) for v in vals], len(vals)
+    j = next((j for j in range(1, K) if math.prod(d[j:]) <= _SLAB), max(K - 1, 1))
+    head = eigsum_grid(vals[:j]).ravel()
+    # K = 1 walks a grid with a second mode of one zero eigenvalue
+    *mid, last = tuple(vals[j:]) or (np.zeros(1),)
+    cols = math.prod(len(v) for v in mid)
+    rows = max(1, _SLAB // (cols * len(last)))
+    buf = np.empty((2, len(last), min(rows, head.size) * cols))
+    logdet = 0.0
+    head_sums = np.empty(head.size)
+    mid_sums = np.zeros(cols)
+    last_sums = np.zeros(len(last))
+    # the slab's sums as matrix-vector products, faster here than sum(axis=)
+    ones_k, ones_row = np.ones(len(last)), np.ones(buf.shape[2])
+    for i in range(0, head.size, rows):
+        r = min(rows, head.size - i)
+        slab, work = buf[:, :, : r * cols]
+        part = reduce(np.add.outer, mid, head[i : i + r])
+        # part + v_K, as a broadcast copy and an in-place add: faster than
+        # np.add.outer along rows of a few hundred entries
+        np.copyto(slab, part.ravel())
+        slab += last[:, None]
+        logdet += float(np.log(slab, out=work).sum())
+        np.divide(1.0, slab, out=slab)
+        sums = (ones_k @ slab).reshape(r, cols)
+        sums.sum(axis=1, out=head_sums[i : i + r])
+        mid_sums += sums.sum(axis=0)
+        last_sums += slab @ ones_row[: r * cols]
+    marginals = _marginals(head_sums.reshape(d[:j]))
+    if K > 1:
+        marginals += _marginals(mid_sums.reshape(d[j:-1])) + (last_sums,)
+    return logdet, marginals, float(last_sums.sum())
+
+
 def eigsum_absmax(vals) -> float:
     """Largest |entry| of ``eigsum_grid(vals)`` in O(sum d_k), never forming it.
 
@@ -281,8 +313,14 @@ def _check_pd(s: SpectrumSet) -> None:
 
 
 def ksum_logdet(s: SpectrumSet) -> float:
-    """log|Omega| from the factor spectra, never forming Omega."""
+    """log|Omega| from the factor spectra, never forming Omega.
+
+    A grid of at most ``_SLAB`` entries is held whole and its logs read alone,
+    so a rejected line-search attempt pays for no reciprocal; a larger one is
+    walked once, in :attr:`SpectrumSet.grid_sums`, for the projection too."""
     _check_pd(s)
+    if s.dims.p <= _SLAB:
+        return float(np.sum(np.log(s._grid)))
     return s.grid_sums[0]
 
 
@@ -316,10 +354,14 @@ def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
 
     G_k = U_k diag(g_k) U_k' with
     g_k[i] = (1/m_k) sum_{tuples, i_k = i} 1/lambda  -  ((K-1)/K) (sum 1/lambda)/p,
-    read from the one pass of :attr:`SpectrumSet.grid_sums`.
+    from the whole grid if it fits in one slab, else from the slab pass.
     """
     _check_pd(s)
-    _, marginals, total = s.grid_sums
+    if s.dims.p <= _SLAB:
+        inv = 1.0 / s._grid
+        marginals, total = _marginals(inv), float(inv.sum())
+    else:
+        _, marginals, total = s.grid_sums
     dims = s.dims
     K = dims.K
     shift = (K - 1) / K * total / dims.p

@@ -170,7 +170,6 @@ def line_search(
     zeta_start: float,
     config: SolverConfig,
     base_total: float,
-    eig_bound: float,
 ) -> tuple[FactorSet, float, FactorSet, float, int, float]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
@@ -182,9 +181,8 @@ def line_search(
     quadratic model F_s(f) + <delta, grad> + <delta, delta> / (2 zeta) of the
     smooth part F_s satisfies it with sigma = 1, so it accepts every step that
     test accepts.  After ``max_backtracks`` rejections the safe step
-    min(a^2, (min eigenvalue of Omega_t)^2) is tried, with a = ``eig_bound``,
-    the lower bound 1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of
-    every iterate.
+    min(a^2, (min eigenvalue of Omega_t)^2) is tried, with a the lower bound
+    1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of every iterate.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
     zeta, number of backtracks, <delta, delta> of the accepted step).
@@ -212,7 +210,10 @@ def line_search(
         if got is not None:
             return got
         zeta = _BACKTRACK_C * zeta
-    zeta_safe = min(eig_bound, ksum_eigensystem(f).min_sum) ** 2
+    # S_k is PSD, so its spectral norm is its largest eigenvalue
+    bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, g.dims.d, rho))
+    a = 1.0 / bound if bound > 0 else math.inf
+    zeta_safe = min(a, ksum_eigensystem(f).min_sum) ** 2
     got = attempt(zeta_safe, config.max_backtracks)
     if got is None:
         raise RuntimeError(
@@ -292,10 +293,6 @@ def solve(
     total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
-    # the paper's lower bound on the eigenvalues of every iterate; S_k is PSD,
-    # so its spectral norm is its largest eigenvalue
-    bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, dims.d, rho))
-    eig_bound = 1.0 / bound if bound > 0 else math.inf
 
     report = SolverReport()
     report.objective_trace.append(total)
@@ -303,7 +300,7 @@ def solve(
 
     for it in range(1, config.max_iter + 1):
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, zeta_next, config, total, eig_bound
+            f, g, grad, rho, zeta_next, config, total
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -373,7 +374,7 @@ def factor_sets(draw, pd=False):
 
 class TestGridClosedForms:
     """The grid-free shortcuts equal the grid computations, and a spectrum
-    makes one slab pass for every computation that needs it."""
+    makes one pass over the grid for every computation that needs it."""
 
     @settings(max_examples=150, deadline=None)
     @given(factor_sets())
@@ -381,11 +382,12 @@ class TestGridClosedForms:
         diags = [np.diag(m) for m in f.psi]
         assert eigsum_absmax(diags) == float(np.abs(eigsum_grid(diags)).max())
 
+    @pytest.mark.parametrize("slab", [2**16, 1])
     @settings(max_examples=150, deadline=None)
     @given(factor_sets(pd=True))
-    def test_spectrum_makes_one_pass(self, f):
-        # log-det and projection share one pass, which builds one sub-grid of
-        # the modes after the first and never the p-entry grid
+    def test_spectrum_makes_one_pass(self, slab, f):
+        # log-det and projection share one pass over the grid, which builds one
+        # grid: the whole one if it fits in a slab, else the head modes' only
         s = ksum_eigensystem(f)
         sizes = []
 
@@ -394,12 +396,48 @@ class TestGridClosedForms:
             sizes.append(out.size)
             return out
 
-        with mock.patch.object(teralasso.ksum, "eigsum_grid", sized_grid):
+        dims = f.dims
+        with mock.patch.object(teralasso.ksum, "_SLAB", slab), mock.patch.object(
+            teralasso.ksum, "eigsum_grid", sized_grid
+        ):
             logdet = ksum_logdet(s)
             proj_inverse_spectrum(s)
             assert ksum_logdet(s) == logdet
-        assert sizes == [f.dims.m(0)]
+            proj_inverse_spectrum(s)
+        assert len(sizes) == 1
+        if dims.p > slab and dims.K > 1:
+            assert sizes[0] * dims.d[-1] <= dims.p
         assert s.min_sum == float(eigsum_grid(s.eigvals).min())
+
+    @pytest.mark.parametrize("slab", [2**16, 1])
+    def test_pd_check_covers_every_sum(self, slab):
+        # the pass adds eigenvalues in the grid's order, so min_sum, which the
+        # PD check tests, is the least value that log and 1/x read; added in
+        # another order, 1 + (-1 + 1e-17) would be 0
+        f = FactorSet(Dims([2, 1, 1]), [np.diag([1.0, 2.0]), -np.eye(1), 1e-17 * np.eye(1)])
+        s = ksum_eigensystem(f)
+        with mock.patch.object(teralasso.ksum, "_SLAB", slab), np.errstate(all="raise"):
+            assert ksum_logdet(s) == np.log(1e-17)
+            g = proj_inverse_spectrum(s)
+        assert all(np.isfinite(m).all() for m in g.psi)
+
+    @pytest.mark.parametrize(
+        "d", [[1, 1000, 1000], [2, 700, 700], [100, 100, 100], [1000, 1000, 1]]
+    )
+    def test_pass_holds_no_grid(self, d):
+        # whatever the shape, the pass holds slab-sized buffers and sub-grids
+        # only: under half of one p-float grid
+        dims = Dims(d)
+        rng = np.random.default_rng(5)
+        vals = tuple(rng.uniform(0.5, 2.0, dk) for dk in d)
+        s = teralasso.ksum.SpectrumSet(dims, vals, tuple(np.eye(dk) for dk in d))
+        tracemalloc.start()
+        try:
+            s.grid_sums
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * dims.p / 2
 
     @pytest.mark.parametrize("slab", [1, 3, 7])
     @settings(max_examples=60, deadline=None)

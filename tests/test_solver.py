@@ -52,7 +52,7 @@ def quad_model(candidate, base, grad, zeta, base_smooth):
 
 def eig_bound(g, rho):
     """The paper's lower bound a = 1 / sum_k (||S_k||_2 + d_k rho_k) on the
-    eigenvalues of every iterate."""
+    eigenvalues of every iterate: the reference for the safe step min(a, .)^2."""
     return 1.0 / sum(
         float(np.linalg.norm(s, 2)) + d * r for s, d, r in zip(g.s, g.dims.d, rho)
     )
@@ -226,7 +226,7 @@ class TestStepAndLineSearch:
         rho = [0.05, 0.05]
         base_total = objective(f, g, rho)[2]
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, 10.0, SolverConfig(), base_total, eig_bound(g, rho)
+            f, g, grad, rho, 10.0, SolverConfig(), base_total
         )
         assert ksum_eigensystem(cand).min_sum > 0
         assert zeta <= 10.0
@@ -244,7 +244,7 @@ class TestStepAndLineSearch:
         cfg = SolverConfig(max_backtracks=0)
         base_total = objective(f, g, [0.0, 0.0])[2]
         a = eig_bound(g, [0.0, 0.0])
-        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total, a)
+        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
         assert zeta == pytest.approx(min(a, ksum_eigensystem(f).min_sum) ** 2)
         assert bts == 0
 
@@ -260,9 +260,10 @@ class TestStepAndLineSearch:
         base_total = objective(f, g, rho)[2]
         a = eig_bound(g, rho)
         cand, cand_total, _, zeta, bts, dd = line_search(
-            f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total, a
+            f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
         )
-        assert zeta == a**2 < ksum_eigensystem(f).min_sum ** 2
+        assert zeta == pytest.approx(a**2, rel=1e-12)
+        assert a**2 < ksum_eigensystem(f).min_sum ** 2
         assert bts == 0
         assert ksum_eigensystem(cand).min_sum > 0
         assert cand_total <= base_total - 1e-4 / (2 * zeta) * dd + 1e-9
@@ -292,16 +293,16 @@ class TestStepAndLineSearch:
                     continue
                 under_model += 1
                 got = line_search(
-                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total, a
+                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total
                 )
                 assert got[3] == zeta and got[4] == 0
                 if zeta == safe:
                     # the fallback after max_backtracks rejections takes it too
                     safe_steps += 1
                     got = line_search(
-                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total, a
+                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
                     )
-                    assert got[3] == safe and got[4] == 0
+                    assert got[3] == pytest.approx(safe, rel=1e-12) and got[4] == 0
         assert under_model > 100 and safe_steps > 10
 
     def test_bb_stepsize(self):
