@@ -76,23 +76,27 @@ class GramSet:
 
 
 def matricize(x: np.ndarray, dims: Dims, k: int) -> np.ndarray:
-    """Mode-k unfolding (0-based k) of one flattened tensor block.
+    """Mode-k unfolding (0-based k) of flattened tensors: (..., p) -> (..., d_k, m_k).
 
     Row r holds all entries with mode-k index r; columns run over the
-    remaining modes in original order, slowest-first.
+    remaining modes in original order, slowest-first.  Leading axes index
+    replicates and pass through.
     """
     if not 0 <= k < dims.K:
         raise IndexError(f"mode {k} out of range for K={dims.K}")
-    t = np.asarray(x, dtype=float).reshape(dims.d)
-    return np.moveaxis(t, k, 0).reshape(dims.d[k], dims.m(k))
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    t = np.moveaxis(x.reshape(lead + dims.d), k - dims.K, -dims.K)
+    return t.reshape(lead + (dims.d[k], dims.m(k)))
 
 
 def tensorize(mat: np.ndarray, dims: Dims, k: int) -> np.ndarray:
-    """Inverse of :func:`matricize`: fold a mode-k unfolding back to a flat block."""
+    """Inverse of :func:`matricize`: (..., d_k, m_k) -> (..., p)."""
     if not 0 <= k < dims.K:
         raise IndexError(f"mode {k} out of range for K={dims.K}")
-    shape = (dims.d[k],) + tuple(d for i, d in enumerate(dims.d) if i != k)
-    return np.moveaxis(mat.reshape(shape), 0, k).reshape(dims.p)
+    lead = mat.shape[:-2]
+    shape = lead + (dims.d[k],) + tuple(d for i, d in enumerate(dims.d) if i != k)
+    return np.moveaxis(mat.reshape(shape), -dims.K, k - dims.K).reshape(lead + (dims.p,))
 
 
 # entries per block of replicates in the sampler and the Gram: bounds their
@@ -112,10 +116,8 @@ def gram_factors(data: DataTensorSet) -> GramSet:
     block = max(1, _SAMPLE_BLOCK // dims.p)
     for start in range(0, data.n, block):
         x = data.values[start : start + block]
-        m = x.shape[0]
         for k in range(dims.K):
-            t = np.moveaxis(x.reshape((m,) + dims.d), k + 1, 1)
-            t = t.reshape(m, dims.d[k], dims.m(k))
+            t = matricize(x, dims, k)
             for prod in np.matmul(t, t.transpose(0, 2, 1)):
                 acc[k] += prod
     s = []
@@ -183,27 +185,31 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
             rng.standard_normal(dims.p, out=x[j])
         x *= scale
         for k in range(dims.K):
-            t = np.moveaxis(x.reshape((m,) + dims.d), k + 1, 1)
-            t = np.matmul(spec.eigvecs[k], t.reshape(m, dims.d[k], dims.m(k))).reshape(t.shape)
-            x = np.moveaxis(t, 1, k + 1).reshape(m, dims.p)
+            x = tensorize(np.matmul(spec.eigvecs[k], matricize(x, dims, k)), dims, k)
         out[start : start + m] = x
     return DataTensorSet(dims, out)
 
 
-def _edge_weight_update(psi: np.ndarray, i: int, j: int, a: float) -> None:
-    psi[i, j] -= a
-    psi[j, i] -= a
-    psi[i, i] += a
-    psi[j, j] += a
+def _edge_factor(d: int, pairs: np.ndarray, q: int, seed: int, tag: int) -> np.ndarray:
+    """The edge factor of :func:`er_factor` with edges drawn from the rows of ``pairs``.
 
-
-def _pick_edges(pairs: list[tuple[int, int]], q: int, rng: np.random.Generator):
-    # partial Fisher-Yates over the pair index: unbiased, seed-stable
-    pool = list(range(len(pairs)))
+    Philox keyed [seed, tag] picks q rows by a partial Fisher-Yates (unbiased
+    and seed-stable), which shuffles ``pairs`` in place, then draws their
+    weights in the order picked.
+    """
+    if q > len(pairs):
+        raise ValueError(f"q_edges={q} exceeds the {len(pairs)} possible edges")
+    rng = np.random.Generator(np.random.Philox(key=[check_seed(seed), tag]))
     for t in range(q):
-        j = t + int(rng.integers(len(pool) - t))
-        pool[t], pool[j] = pool[j], pool[t]
-    return [pairs[pool[t]] for t in range(q)]
+        j = t + int(rng.integers(len(pairs) - t))
+        pairs[[t, j]] = pairs[[j, t]]
+    psi = 0.25 * np.eye(d)
+    for i, j in pairs[:q].tolist():
+        a = float(rng.uniform(0.2, 0.4))
+        psi[i, j] = psi[j, i] = -a
+        psi[i, i] += a
+        psi[j, j] += a
+    return psi
 
 
 def er_factor(d: int, q_edges: int, seed: int) -> np.ndarray:
@@ -212,15 +218,7 @@ def er_factor(d: int, q_edges: int, seed: int) -> np.ndarray:
     Each edge (i, j) gets weight a ~ U[0.2, 0.4], subtracted off-diagonal and
     added to both diagonals, preserving diagonal dominance.
     """
-    max_q = d * (d - 1) // 2
-    if q_edges > max_q:
-        raise ValueError(f"q_edges={q_edges} exceeds {max_q} possible edges")
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0x45520000]))
-    psi = 0.25 * np.eye(d)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for i, j in _pick_edges(pairs, q_edges, rng):
-        _edge_weight_update(psi, i, j, float(rng.uniform(0.2, 0.4)))
-    return psi
+    return _edge_factor(d, np.column_stack(np.triu_indices(d, 1)), q_edges, seed, 0x45520000)
 
 
 def grid_factor(d: int, q_edges: int, seed: int) -> np.ndarray:
@@ -228,21 +226,12 @@ def grid_factor(d: int, q_edges: int, seed: int) -> np.ndarray:
     side = int(round(d**0.5))
     if side * side != d:
         raise ValueError(f"grid factor needs a perfect-square d, got {d}")
-    pairs = []
-    for r in range(side):
-        for c in range(side):
-            u = r * side + c
-            if c + 1 < side:
-                pairs.append((u, u + 1))
-            if r + 1 < side:
-                pairs.append((u, u + side))
-    if q_edges > len(pairs):
-        raise ValueError(f"q_edges={q_edges} exceeds {len(pairs)} grid edges")
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0x47524944]))
-    psi = 0.25 * np.eye(d)
-    for i, j in _pick_edges(pairs, q_edges, rng):
-        _edge_weight_update(psi, i, j, float(rng.uniform(0.2, 0.4)))
-    return psi
+    # cell by cell in row-major order: the edge to its right, then the one below
+    cell = np.repeat(np.arange(d), 2)
+    step = np.tile([1, side], d)
+    keep = np.where(step == 1, cell % side < side - 1, cell < d - side)
+    pairs = np.column_stack((cell, cell + step))[keep]
+    return _edge_factor(d, pairs, q_edges, seed, 0x47524944)
 
 
 def ar1_factor(d: int, coeff: float) -> np.ndarray:

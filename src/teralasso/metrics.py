@@ -144,13 +144,6 @@ def make_truth(spec: ExperimentSpec, trial_seed: int) -> FactorSet:
     dims = spec.dims
     if spec.model == "ar1":
         return FactorSet(dims, [ar1_factor(dk, spec.ar_coeff) for dk in dims.d])
-    last = trial_seed + 1000 * (dims.K - 1)
-    if last >= 2**63:
-        # a larger key would round through float64 and repeat a neighbour's factor
-        raise ValueError(
-            f"seed {trial_seed} is too large for {dims.K} factors: their generator "
-            f"seeds run to {last}, outside the signed 64-bit range"
-        )
     edges = spec.edges if spec.edges else tuple(dk for dk in dims.d)
     gen = er_factor if spec.model == "er" else grid_factor
     return FactorSet(

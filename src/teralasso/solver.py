@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,14 +49,13 @@ __all__ = [
 class SolverConfig:
     rho_bar: float | tuple[float, ...] = 0.0
     max_iter: int = 1000
-    max_backtracks: int = 40
     tol_kkt: float = 1e-6
+    # backtracks before the line search tries its safe step; not a field
+    max_backtracks: ClassVar[int] = 40
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.max_backtracks < 0:
-            raise ValueError(f"max_backtracks must be nonnegative, got {self.max_backtracks}")
         if not self.tol_kkt > 0:
             raise ValueError(f"tol_kkt must be positive, got {self.tol_kkt}")
         rho_bar = np.asarray(self.rho_bar, dtype=float)  # an int of any size too
@@ -168,7 +168,6 @@ def line_search(
     grad: FactorSet,
     rho,
     zeta_start: float,
-    config: SolverConfig,
     base_total: float,
 ) -> tuple[FactorSet, float, FactorSet, float, int, float]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
@@ -180,7 +179,7 @@ def line_search(
     memory M = 0, so descent is monotone.  Every PD candidate under the
     quadratic model F_s(f) + <delta, grad> + <delta, delta> / (2 zeta) of the
     smooth part F_s satisfies it with sigma = 1, so it accepts every step that
-    test accepts.  After ``max_backtracks`` rejections the safe step
+    test accepts.  After ``SolverConfig.max_backtracks`` rejections the safe step
     min(a^2, (min eigenvalue of Omega_t)^2) is tried, with a the lower bound
     1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of every iterate.
 
@@ -205,7 +204,7 @@ def line_search(
         return None
 
     zeta = zeta_start
-    for j in range(config.max_backtracks):
+    for j in range(SolverConfig.max_backtracks):
         got = attempt(zeta, j)
         if got is not None:
             return got
@@ -214,7 +213,7 @@ def line_search(
     bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, g.dims.d, rho))
     a = 1.0 / bound if bound > 0 else math.inf
     zeta_safe = min(a, ksum_eigensystem(f).min_sum) ** 2
-    got = attempt(zeta_safe, config.max_backtracks)
+    got = attempt(zeta_safe, SolverConfig.max_backtracks)
     if got is None:
         raise RuntimeError(
             "line search failed even at the safe step; iterate is corrupted"
@@ -300,7 +299,7 @@ def solve(
 
     for it in range(1, config.max_iter + 1):
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, zeta_next, config, total
+            f, g, grad, rho, zeta_next, total
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")

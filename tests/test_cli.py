@@ -126,6 +126,20 @@ class TestEstimate:
         assert code in (0, 2)
         assert capsys.readouterr().err == ""
 
+    def test_huge_penalty_converges(self, tmp_path):
+        # a penalty this large leaves the diagonal start optimal; it converges
+        # once the penalty of a diagonal factor is exactly 0, not rounding
+        # noise times 1e21
+        assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path / "g")]) == 0
+        out = tmp_path / "f"
+        code = run(
+            ["estimate", "--data", str(tmp_path / "g" / "samples.ktns"), "--rho-bar", "1e21",
+             "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["termination"] in ("objective-tol", "kkt-tol")
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(
             ["estimate", "--data", str(tmp_path / "nope.ktns"), "--out", str(tmp_path)]

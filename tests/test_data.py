@@ -45,6 +45,18 @@ class TestMatricize:
                 tensorize(matricize(x, dims, k), dims, k), x
             )
 
+    def test_batch_round_trip(self):
+        # leading axes are replicates: each row unfolds as it would alone
+        rng = np.random.default_rng(9)
+        dims = Dims([2, 3, 4])
+        x = rng.standard_normal((5, dims.p))
+        for k in range(dims.K):
+            mat = matricize(x, dims, k)
+            assert mat.shape == (5, dims.d[k], dims.m(k))
+            for i in range(5):
+                np.testing.assert_array_equal(mat[i], matricize(x[i], dims, k))
+            np.testing.assert_array_equal(tensorize(mat, dims, k), x)
+
     def test_mode0_rows(self):
         # mode-1 index is slowest in the flat layout, so mode-0 rows are
         # contiguous chunks
@@ -253,7 +265,68 @@ class TestSampler:
         assert peak < 2 * data.values.nbytes
 
 
+def pair_list_edge_factor(d, pairs, q, seed, tag):
+    """The edge draw as a Python pair list and index pool: the reference for
+    the array draw, which must make the same generator calls."""
+    rng = np.random.Generator(np.random.Philox(key=[int(seed), tag]))
+    pool = list(range(len(pairs)))
+    for t in range(q):
+        j = t + int(rng.integers(len(pool) - t))
+        pool[t], pool[j] = pool[j], pool[t]
+    psi = 0.25 * np.eye(d)
+    for i, j in [pairs[pool[t]] for t in range(q)]:
+        a = float(rng.uniform(0.2, 0.4))
+        psi[i, j] -= a
+        psi[j, i] -= a
+        psi[i, i] += a
+        psi[j, j] += a
+    return psi
+
+
+def grid_pairs(side):
+    pairs = []
+    for r in range(side):
+        for c in range(side):
+            u = r * side + c
+            if c + 1 < side:
+                pairs.append((u, u + 1))
+            if r + 1 < side:
+                pairs.append((u, u + side))
+    return pairs
+
+
 class TestGenerators:
+    @pytest.mark.parametrize("d", [1, 2, 5, 32, 100])
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**62])
+    def test_matches_pair_list_reference(self, d, seed):
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        for q in sorted({0, 1, d, len(pairs)}):
+            if q <= len(pairs):
+                ref = pair_list_edge_factor(d, pairs, q, seed, 0x45520000)
+                assert np.array_equal(er_factor(d, q, seed), ref), q
+        side = int(round(d**0.5))
+        if side * side == d:
+            pairs = grid_pairs(side)
+            for q in sorted({0, 1, d, len(pairs)}):
+                if q <= len(pairs):
+                    ref = pair_list_edge_factor(d, pairs, q, seed, 0x47524944)
+                    assert np.array_equal(grid_factor(d, q, seed), ref), q
+
+    def test_er_peak_memory_bounded(self):
+        # the d(d-1)/2 candidate pairs are one integer array, not Python tuples
+        tracemalloc.start()
+        try:
+            psi = er_factor(1000, 1000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * psi.nbytes
+
+    @pytest.mark.parametrize("gen", [er_factor, grid_factor])
+    def test_rejects_seed_out_of_range(self, gen):
+        with pytest.raises(ValueError, match=f"seed {2**63}"):
+            gen(4, 1, 2**63)
+
     def test_er_shape_and_pd(self):
         psi = er_factor(10, 8, seed=3)
         assert psi.shape == (10, 10)

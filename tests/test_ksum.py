@@ -311,6 +311,14 @@ class TestOffdiagL1:
         f = FactorSet(Dims([2, 2]), [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
         assert offdiag_l1(f, [1.0, 7.0]) == 0.0
 
+    def test_random_diagonal_factors_cost_exactly_zero(self):
+        # subtracting the diagonal's sum from the whole sum left rounding
+        # noise of about 1e-15 on a third of these
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            f = FactorSet(Dims([10]), [np.diag(rng.uniform(0.1, 10.0, size=10))])
+            assert offdiag_l1(f, [1.0]) == 0.0
+
     def test_single_offdiag(self):
         f = FactorSet(
             Dims([2, 2]), [np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))]

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teralasso.ksum
 import teralasso.solver
-from teralasso.data import GramSet, gram_factors, sample_ksum_gaussian
+from teralasso.data import DataTensorSet, GramSet, gram_factors, sample_ksum_gaussian
 from teralasso.ksum import (
     Dims,
     FactorSet,
@@ -58,15 +60,18 @@ def eig_bound(g, rho):
     )
 
 
-def random_problem(dims, n, seed, pd_scale=0.5):
+def random_truth(dims, seed, pd_scale=0.5):
     rng = np.random.default_rng(seed)
     psi = []
     for dk in dims.d:
         M = rng.standard_normal((dk, dk))
         psi.append(M @ M.T / dk + pd_scale * np.eye(dk))
-    truth = FactorSet(dims, psi)
-    data = sample_ksum_gaussian(truth, n, seed)
-    return truth, gram_factors(data)
+    return FactorSet(dims, psi)
+
+
+def random_problem(dims, n, seed, pd_scale=0.5):
+    truth = random_truth(dims, seed, pd_scale)
+    return truth, gram_factors(sample_ksum_gaussian(truth, n, seed))
 
 
 class TestConfig:
@@ -80,7 +85,6 @@ class TestConfig:
             {"rho_bar": -0.5},
             {"max_iter": 0},
             {"max_iter": -3},
-            {"max_backtracks": -1},
             {"rho_bar": (0.3, -0.1)},
             {"rho_bar": float("nan")},
             {"rho_bar": (0.3, float("inf"))},
@@ -91,6 +95,12 @@ class TestConfig:
         # rejected by name, before any solve
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverConfig(**kwargs)
+
+    def test_backtrack_cap_is_a_constant(self):
+        # the cap is a class constant, read by the line search at call time
+        assert SolverConfig().max_backtracks == SolverConfig.max_backtracks == 40
+        with pytest.raises(TypeError):
+            SolverConfig(max_backtracks=0)
 
 
 class TestResolveRho:
@@ -226,7 +236,7 @@ class TestStepAndLineSearch:
         rho = [0.05, 0.05]
         base_total = objective(f, g, rho)[2]
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, 10.0, SolverConfig(), base_total
+            f, g, grad, rho, 10.0, base_total
         )
         assert ksum_eigensystem(cand).min_sum > 0
         assert zeta <= 10.0
@@ -234,24 +244,25 @@ class TestStepAndLineSearch:
         assert cand_total <= base_total - 1e-4 / (2 * zeta) * ksum_inner(delta, delta) + 1e-9
         assert dd == ksum_inner(delta, delta)
 
-    def test_safe_step_fallback(self):
+    def test_safe_step_fallback(self, monkeypatch):
         # zero backtracks forces an immediate fall-through to the safe step
         # min(a, min eig of the iterate)^2, which must always be accepted
+        monkeypatch.setattr(SolverConfig, "max_backtracks", 0)
         dims = Dims([2, 2])
         g = identity_gram(dims)
         f = FactorSet.identity(dims)
         grad = subspace_gradient(f, g)
-        cfg = SolverConfig(max_backtracks=0)
         base_total = objective(f, g, [0.0, 0.0])[2]
         a = eig_bound(g, [0.0, 0.0])
-        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, cfg, base_total)
+        _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, base_total)
         assert zeta == pytest.approx(min(a, ksum_eigensystem(f).min_sum) ** 2)
         assert bts == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_safe_step_below_eigenvalue_bound(self, n):
+    def test_safe_step_below_eigenvalue_bound(self, n, monkeypatch):
         # from I with a huge first trial, (min eig of the iterate)^2 = 1 is not
         # an acceptable step on these problems; min(a, min eig)^2 is
+        monkeypatch.setattr(SolverConfig, "max_backtracks", 0)
         dims = Dims([5])
         _, g = random_problem(dims, n=n, seed=14)
         f = FactorSet.identity(dims)
@@ -260,7 +271,7 @@ class TestStepAndLineSearch:
         base_total = objective(f, g, rho)[2]
         a = eig_bound(g, rho)
         cand, cand_total, _, zeta, bts, dd = line_search(
-            f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
+            f, g, grad, rho, 1e8, base_total
         )
         assert zeta == pytest.approx(a**2, rel=1e-12)
         assert a**2 < ksum_eigensystem(f).min_sum ** 2
@@ -292,16 +303,14 @@ class TestStepAndLineSearch:
                 if smooth_objective(cand, g) > quad_model(cand, f, grad, zeta, base_smooth):
                     continue
                 under_model += 1
-                got = line_search(
-                    f, g, grad, rho, zeta, SolverConfig(max_backtracks=1), base_total
-                )
+                monkeypatch.setattr(SolverConfig, "max_backtracks", 1)
+                got = line_search(f, g, grad, rho, zeta, base_total)
                 assert got[3] == zeta and got[4] == 0
                 if zeta == safe:
                     # the fallback after max_backtracks rejections takes it too
                     safe_steps += 1
-                    got = line_search(
-                        f, g, grad, rho, 1e8, SolverConfig(max_backtracks=0), base_total
-                    )
+                    monkeypatch.setattr(SolverConfig, "max_backtracks", 0)
+                    got = line_search(f, g, grad, rho, 1e8, base_total)
                     assert got[3] == pytest.approx(safe, rel=1e-12) and got[4] == 0
         assert under_model > 100 and safe_steps > 10
 
@@ -497,3 +506,80 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak < 8 * dims.p / 2
+
+
+# the metamorphic properties solve to this KKT tolerance, and the two
+# estimates each compares may differ by this multiple of it, as a Kronecker
+# sum relative to the first: ksum_frobenius(a - b) <= 100 tol_kkt ||a||
+_META_TOL_KKT = 1e-9
+_META_BOUND = 100 * _META_TOL_KKT
+
+
+@st.composite
+def meta_problems(draw):
+    """Samples of a random Kronecker-sum model with K <= 4, and a penalty.
+
+    Each factor sees n m_k >= 4 d_k sample rows, so every solve is well
+    conditioned and converges; the few-sample solves that reach the iteration
+    cap are a convergence question, not an equivariance one.
+    """
+    dims = Dims(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    n = max(draw(st.integers(3, 10)), *(-(-4 * d // m) for d, m in zip(dims.d, dims.ms)))
+    seed = draw(st.integers(0, 2**16))
+    data = sample_ksum_gaussian(random_truth(dims, seed), n, seed)
+    return data, draw(st.sampled_from([0.05, 0.3, 1.0]))
+
+
+class TestMetamorphic:
+    """Exact equivariances of the estimator, which need no dense oracle and
+    so reach every shape: they guard the mode order and index order of the
+    Gram's batched unfoldings and of the solver's factor-wise steps."""
+
+    @staticmethod
+    def fit(data, rho_bar, init=None):
+        cfg = SolverConfig(rho_bar=rho_bar, tol_kkt=_META_TOL_KKT)
+        est, report = solve(gram_factors(data), config=cfg, init=init)
+        assert report.termination != "max-iter"
+        return est
+
+    @staticmethod
+    def assert_close(a, b):
+        assert ksum_frobenius(a - b) <= _META_BOUND * ksum_frobenius(a)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(meta_problems(), st.data())
+    def test_mode_permutation_permutes_estimate(self, problem, draw):
+        data, rho_bar = problem
+        dims = data.dims
+        perm = draw.draw(st.permutations(range(dims.K)))
+        moved = data.values.reshape((data.n,) + dims.d).transpose([0] + [1 + j for j in perm])
+        pdims = Dims([dims.d[j] for j in perm])
+        est = self.fit(data, rho_bar)
+        got = self.fit(DataTensorSet(pdims, moved.reshape(data.n, dims.p)), rho_bar)
+        self.assert_close(FactorSet(pdims, [est.psi[j] for j in perm]), got)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(meta_problems(), st.data())
+    def test_index_permutation_conjugates_factor(self, problem, draw):
+        data, rho_bar = problem
+        dims = data.dims
+        k = draw.draw(st.integers(0, dims.K - 1))
+        sigma = draw.draw(st.permutations(range(dims.d[k])))
+        moved = np.take(data.values.reshape((data.n,) + dims.d), sigma, axis=k + 1)
+        est = self.fit(data, rho_bar)
+        got = self.fit(DataTensorSet(dims, moved.reshape(data.n, dims.p)), rho_bar)
+        want = list(est.psi)
+        want[k] = want[k][np.ix_(sigma, sigma)]
+        self.assert_close(FactorSet(dims, want), got)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(meta_problems(), st.data())
+    def test_trace_shifted_init_reaches_same_sum(self, problem, draw):
+        # Psi_k + c_k I with sum_k c_k = 0 has the Kronecker sum of Psi
+        data, rho_bar = problem
+        dims = data.dims
+        c = draw.draw(st.lists(st.floats(-0.3, 0.3), min_size=dims.K - 1, max_size=dims.K - 1))
+        c.append(-sum(c))
+        start = FactorSet.identity(dims)
+        init = FactorSet(dims, [m + ck * np.eye(len(m)) for m, ck in zip(start.psi, c)])
+        self.assert_close(self.fit(data, rho_bar), self.fit(data, rho_bar, init))
