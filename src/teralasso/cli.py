@@ -27,7 +27,6 @@ from .metrics import (
     tuning_sweep,
     write_table,
 )
-from .selfcheck import run_selfcheck
 from .solver import SolverConfig, solve
 
 
@@ -202,6 +201,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    # imported here, so the other commands do not pay for the oracles
+    from .selfcheck import run_selfcheck
+
     resolved = _resolve(args, _load_config(args.config))
     results = run_selfcheck(seed=check_seed(resolved.get("seed", 0)))
     failed = [name for name, _, _, ok in results if not ok]

@@ -160,6 +160,11 @@ _ZETA0 = 1e-2
 # relative objective change under which a KKT-converged solve is labelled
 # "objective-tol" rather than "kkt-tol"; the stop itself is gated on KKT
 _TOL_OBJ = 1e-9
+# nonmonotone memory: a step is measured against the largest of the last
+# _MEMORY accepted objectives
+_MEMORY = 5
+# the short BB step replaces the long one when their ratio falls below this
+_ABB_RATIO = 0.5
 
 
 def line_search(
@@ -168,27 +173,30 @@ def line_search(
     grad: FactorSet,
     rho,
     zeta_start: float,
-    base_total: float,
+    ref_total: float,
 ) -> tuple[FactorSet, float, FactorSet, float, int, float]:
     """Backtracking search for the largest acceptable stepsize c^j * zeta_start.
 
     A step is accepted when the candidate is positive definite and the
-    composite objective F (smooth part plus penalty) decreases sufficiently:
-    F(cand) <= F(f) - sigma / (2 zeta) <delta, delta>, delta = cand - f, with
-    sigma = 1e-4 and ``base_total`` = F(f).  This is SpaRSA's acceptance with
-    memory M = 0, so descent is monotone.  Every PD candidate under the
+    composite objective F (smooth part plus penalty) decreases sufficiently
+    against the reference ``ref_total``:
+    F(cand) <= ref_total - sigma / (2 zeta) <delta, delta>, delta = cand - f,
+    with sigma = 1e-4.  This is SpaRSA's nonmonotone acceptance: ``solve``
+    passes the largest of the last M = 5 accepted objectives, and
+    ``ref_total`` = F(f) gives the monotone rule.  Every PD candidate under the
     quadratic model F_s(f) + <delta, grad> + <delta, delta> / (2 zeta) of the
-    smooth part F_s satisfies it with sigma = 1, so it accepts every step that
-    test accepts.  After ``SolverConfig.max_backtracks`` rejections the safe step
-    min(a^2, (min eigenvalue of Omega_t)^2) is tried, with a the lower bound
-    1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of every iterate.
+    smooth part F_s satisfies it with sigma = 1 and any ref_total >= F(f), so it
+    accepts every step that test accepts.  After ``SolverConfig.max_backtracks``
+    rejections the safe step min(a^2, (min eigenvalue of Omega_t)^2) is tried,
+    with a the lower bound 1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues
+    of every iterate.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
     zeta, number of backtracks, <delta, delta> of the accepted step).
     """
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
-    slack = 1e-12 * (abs(base_total) + 1.0)  # rounding in the two objectives
+    slack = 1e-12 * (abs(ref_total) + 1.0)  # rounding in the two objectives
 
     def attempt(zeta, backtracks):
         cand = ista_step(f, grad, rho, zeta)
@@ -198,7 +206,7 @@ def line_search(
         cand_total = smooth_objective(cand, g, spec) + offdiag_l1(cand, rho)
         delta = cand - f
         dd = ksum_inner(delta, delta)
-        if cand_total <= base_total - _SIGMA / (2.0 * zeta) * dd + slack:
+        if cand_total <= ref_total - _SIGMA / (2.0 * zeta) * dd + slack:
             grad_cand = subspace_gradient(cand, g, spec)
             return cand, cand_total, grad_cand, zeta, backtracks, dd
         return None
@@ -224,17 +232,23 @@ def line_search(
 def bb_stepsize(
     delta_omega: FactorSet, delta_grad: FactorSet, fallback: float, dd: float
 ) -> float:
-    """Barzilai-Borwein stepsize ||dOmega||^2 / <dOmega, dGrad>, factor-wise.
+    """Adaptive Barzilai-Borwein stepsize (ABB), from Kronecker-sum inner products.
 
-    ``dd`` is <dOmega, dOmega>, which the line search already computed.
-    Falls back to the previous accepted stepsize on nonpositive curvature."""
+    With s = <dOmega, dGrad>, the long step BB1 = <dOmega, dOmega> / s and the
+    short step BB2 = s / <dGrad, dGrad> (never longer than BB1), ABB takes BB2
+    when BB2 < BB1 / 2 and BB1 otherwise.  ``dd`` is <dOmega, dOmega>, which
+    the line search already computed; a <dGrad, dGrad> that rounds to <= 0
+    leaves BB1.  Falls back to the previous accepted stepsize on nonpositive
+    curvature."""
     denom = ksum_inner(delta_omega, delta_grad)
     if denom <= 0 or not math.isfinite(denom):
         return fallback
     zeta = dd / denom
     if not math.isfinite(zeta) or zeta <= 0:
         return fallback
-    return zeta
+    gg = ksum_inner(delta_grad, delta_grad)
+    short = denom / gg if gg > 0 else math.inf
+    return short if 0 < short < _ABB_RATIO * zeta else zeta
 
 
 def kkt_residual(f: FactorSet, g: GramSet, rho, grad: FactorSet | None = None) -> float:
@@ -277,7 +291,9 @@ def solve(
     """Run the iterative soft-thresholding loop to convergence.
 
     Starts at Omega = I (factors I/K) unless ``init`` is given.  The stepsize
-    is initialized by the Barzilai-Borwein rule and validated by backtracking.
+    is initialized by the adaptive Barzilai-Borwein rule and validated by a
+    nonmonotone backtracking search against the largest of the last five
+    objectives.
     """
     config = config or SolverConfig()
     dims = g.dims
@@ -299,7 +315,7 @@ def solve(
 
     for it in range(1, config.max_iter + 1):
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
-            f, g, grad, rho, zeta_next, total
+            f, g, grad, rho, zeta_next, max(report.objective_trace[-_MEMORY:])
         )
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
