@@ -29,7 +29,6 @@ from .ksum import (
     ksum_frobenius,
     ksum_inner,
     ksum_logdet,
-    ksum_spectral_norm,
     offdiag_l1,
     proj_inverse_spectrum,
     proj_ksum_dense,
@@ -46,7 +45,6 @@ from .metrics import (
 from .solver import (
     SolverConfig,
     SolverReport,
-    contraction_bound,
     kkt_residual,
     objective,
     solve,

@@ -33,7 +33,6 @@ __all__ = [
     "proj_inverse_spectrum",
     "ksum_inner",
     "ksum_frobenius",
-    "ksum_spectral_norm",
     "offdiag_l1",
 ]
 
@@ -135,9 +134,6 @@ class FactorSet:
         object.__setattr__(out, "psi", tuple(psi))
         return out
 
-    def map(self, fn) -> "FactorSet":
-        return FactorSet(self.dims, [fn(m) for m in self.psi])
-
     def __add__(self, other: "FactorSet") -> "FactorSet":
         _check_same_dims(self, other)
         return FactorSet._trusted(self.dims, [a + b for a, b in zip(self.psi, other.psi)])
@@ -199,21 +195,13 @@ class SpectrumSet:
     @cached_property
     def grid_sums(self) -> tuple[float, tuple[np.ndarray, ...], float]:
         """(sum log lambda, the K per-mode marginals of 1/lambda, sum 1/lambda)
-        over the p eigenvalue sums lambda, from one pass of :func:`_slab_sums`
-        that never holds them all."""
+        over the p eigenvalue sums lambda, from one call of :func:`_slab_sums`,
+        the only reader of the grid.  Raises NotPositiveDefiniteError first."""
+        _check_pd(self)
         sums = _slab_sums(self.eigvals)
         for m in sums[1]:
             m.flags.writeable = False  # every reader shares them
         return sums
-
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        # the whole grid, which ksum reads only when it fits in one slab
-        return eigsum_grid(self.eigvals)
-
-    @property
-    def max_sum(self) -> float:
-        return float(sum(v.max() for v in self.eigvals))
 
 
 def kron_sum_dense(f: FactorSet) -> np.ndarray:
@@ -251,17 +239,22 @@ def _marginals(a: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _slab_sums(vals) -> tuple[float, tuple[np.ndarray, ...], float]:
-    """:attr:`SpectrumSet.grid_sums` of ``eigsum_grid(vals)``, walked in slabs.
+    """:attr:`SpectrumSet.grid_sums` of ``eigsum_grid(vals)``.
 
-    The grid splits after the first mode j whose trailing modes span at most
-    ``_SLAB`` entries (after mode K-1 if none does).  A slab is some rows of
-    the head grid of modes 1..j (+) modes j+1..K, added in ``eigsum_grid``'s
-    order, so every entry is the grid's to the bit.  It is laid out (mode K,
-    head rows, modes j+1..K-1), so the final add runs along rows of about
-    ``_SLAB`` / d_K entries, in a buffer of at most ``_SLAB`` entries (one head
-    row, if that is longer) beside a second one for its logs.
+    A grid of at most ``_SLAB`` entries is held whole.  A larger one is walked
+    once, in slabs: it splits after the first mode j whose trailing modes span
+    at most ``_SLAB`` entries (after mode K-1 if none does).  A slab is some
+    rows of the head grid of modes 1..j (+) modes j+1..K, added in
+    ``eigsum_grid``'s order, so every entry is the grid's to the bit.  It is
+    laid out (mode K, head rows, modes j+1..K-1), so the final add runs along
+    rows of about ``_SLAB`` / d_K entries, in a buffer of at most ``_SLAB``
+    entries (one head row, if that is longer) beside a second one for its logs.
     """
     d, K = [len(v) for v in vals], len(vals)
+    if math.prod(d) <= _SLAB:
+        grid = eigsum_grid(vals)
+        inv = 1.0 / grid
+        return float(np.sum(np.log(grid))), _marginals(inv), float(inv.sum())
     j = next((j for j in range(1, K) if math.prod(d[j:]) <= _SLAB), max(K - 1, 1))
     head = eigsum_grid(vals[:j]).ravel()
     # K = 1 walks a grid with a second mode of one zero eigenvalue
@@ -313,14 +306,8 @@ def _check_pd(s: SpectrumSet) -> None:
 
 
 def ksum_logdet(s: SpectrumSet) -> float:
-    """log|Omega| from the factor spectra, never forming Omega.
-
-    A grid of at most ``_SLAB`` entries is held whole and its logs read alone,
-    so a rejected line-search attempt pays for no reciprocal; a larger one is
-    walked once, in :attr:`SpectrumSet.grid_sums`, for the projection too."""
-    _check_pd(s)
-    if s.dims.p <= _SLAB:
-        return float(np.sum(np.log(s._grid)))
+    """log|Omega| from the factor spectra, never forming Omega: the pass of
+    :attr:`SpectrumSet.grid_sums`, which the projection reads too."""
     return s.grid_sums[0]
 
 
@@ -354,14 +341,9 @@ def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:
 
     G_k = U_k diag(g_k) U_k' with
     g_k[i] = (1/m_k) sum_{tuples, i_k = i} 1/lambda  -  ((K-1)/K) (sum 1/lambda)/p,
-    from the whole grid if it fits in one slab, else from the slab pass.
+    from :attr:`SpectrumSet.grid_sums`.
     """
-    _check_pd(s)
-    if s.dims.p <= _SLAB:
-        inv = 1.0 / s._grid
-        marginals, total = _marginals(inv), float(inv.sum())
-    else:
-        _, marginals, total = s.grid_sums
+    _, marginals, total = s.grid_sums
     dims = s.dims
     K = dims.K
     shift = (K - 1) / K * total / dims.p
@@ -393,10 +375,6 @@ def ksum_inner(a: FactorSet, b: FactorSet) -> float:
 
 def ksum_frobenius(f: FactorSet) -> float:
     return math.sqrt(max(ksum_inner(f, f), 0.0))
-
-
-def ksum_spectral_norm(s: SpectrumSet) -> float:
-    return eigsum_absmax(s.eigvals)
 
 
 def offdiag_l1(f: FactorSet, rho) -> float:

@@ -12,13 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
-from .ksum import (
-    Dims,
-    FactorSet,
-    ksum_eigensystem,
-    ksum_frobenius,
-    ksum_spectral_norm,
-)
+from .ksum import Dims, FactorSet, eigsum_absmax, ksum_eigensystem, ksum_frobenius
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -90,13 +84,13 @@ def estimation_errors(truth: FactorSet, est: FactorSet) -> dict:
     delta = est - truth
     frob_full = ksum_frobenius(delta)
     truth_frob = ksum_frobenius(truth)
-    spectral = ksum_spectral_norm(ksum_eigensystem(delta))
+    spectral = eigsum_absmax(ksum_eigensystem(delta).eigvals)
     factorwise = []
     for k in range(dims.K):
         off = delta.psi[k] - np.diag(np.diag(delta.psi[k]))
         factorwise.append(float(np.linalg.norm(off)))
     # the diagonal of the Kronecker sum is the Kronecker sum of the diagonals
-    diag_err = ksum_frobenius(delta.map(lambda m: np.diag(np.diag(m))))
+    diag_err = ksum_frobenius(FactorSet(dims, [np.diag(np.diag(m)) for m in delta.psi]))
     # tr(Delta) / p, the common diagonal mass no factor trace shift changes
     tau = float(sum(np.trace(m) / dk for m, dk in zip(delta.psi, dims.d)))
     return {

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import DataTensorSet, gram_factors, sample_ksum_gaussian
 from .ksum import Dims, FactorSet, kron_sum_dense, proj_ksum_dense
-from .oracle import basis_projection, rearrange_rk
+from .oracle import DenseProblem, basis_projection, dense_objective, rearrange_rk
 from .solver import objective, subspace_gradient
 
 __all__ = ["run_selfcheck"]
@@ -54,19 +54,8 @@ def check_objective(rng) -> float:
     g = gram_factors(data)
     rho = np.array([0.05, 0.1])
     _, _, total = objective(f, g, rho)
-    omega = kron_sum_dense(f)
     s_hat = data.values.T @ data.values / data.n
-    pen = 0.0
-    for k, psi in enumerate(f.psi):
-        off = np.abs(psi).sum() - np.abs(np.diag(psi)).sum()
-        pen += rho[k] * dims.m(k) * off
-    # the eigenvalues, not the slogdet sign: that sign is +1 for an even
-    # number of negative eigenvalues
-    w = np.linalg.eigvalsh(omega)
-    if w.min() <= 0:
-        raise ValueError("objective-vs-dense: the dense Omega is not positive definite")
-    ref = -float(np.log(w).sum()) + float(np.sum(s_hat * omega)) + pen
-    return abs(total - ref)
+    return abs(total - dense_objective(kron_sum_dense(f), DenseProblem(dims, s_hat, rho)))
 
 
 def check_gram_identity(rng) -> float:

@@ -40,7 +40,6 @@ __all__ = [
     "line_search",
     "bb_stepsize",
     "kkt_residual",
-    "contraction_bound",
     "solve",
 ]
 
@@ -268,18 +267,6 @@ def kkt_residual(f: FactorSet, g: GramSet, rho, grad: FactorSet | None = None) -
         resid = max(resid, float(r.max()))
     resid = max(resid, eigsum_absmax([np.diag(m) for m in grad.psi]))
     return resid
-
-
-def contraction_bound(a: float, b: float) -> tuple[float, float]:
-    """Optimal worst-case per-step contraction for iterates in [a, b] spectra.
-
-    Returns (s, zeta_opt) with s = 1 - 2/(1 + b^2/a^2), zeta = 2/(a^-2 + b^-2).
-    """
-    if not 0 < a <= b:
-        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
-    s = 1.0 - 2.0 / (1.0 + (b / a) ** 2)
-    zeta = 2.0 / (a**-2 + b**-2)
-    return s, zeta
 
 
 def solve(

@@ -26,7 +26,6 @@ from teralasso.metrics import ExperimentSpec, run_rate_experiment, run_support_e
 from teralasso.oracle import DenseProblem, basis_projection, dense_objective, dense_solver
 from teralasso.solver import (
     SolverConfig,
-    contraction_bound,
     ista_step,
     resolve_rho,
     smooth_objective,
@@ -152,6 +151,36 @@ def test_criterion_04_solver_matches_dense_optimum():
     )
 
 
+def contraction_bound(a: float, b: float) -> tuple[float, float]:
+    """Optimal worst-case per-step contraction for iterates in [a, b] spectra.
+
+    Returns (s, zeta_opt) with s = 1 - 2/(1 + b^2/a^2), zeta = 2/(a^-2 + b^-2).
+    """
+    if not 0 < a <= b:
+        raise ValueError(f"need 0 < a <= b, got a={a}, b={b}")
+    s = 1.0 - 2.0 / (1.0 + (b / a) ** 2)
+    zeta = 2.0 / (a**-2 + b**-2)
+    return s, zeta
+
+
+class TestContractionBound:
+    def test_formulas(self):
+        s, zeta = contraction_bound(1.0, 3.0)
+        assert s == pytest.approx(1 - 2 / (1 + 9))
+        assert zeta == pytest.approx(2 / (1 + 1 / 9))
+
+    def test_equal_bounds(self):
+        s, zeta = contraction_bound(2.0, 2.0)
+        assert s == pytest.approx(0.0)
+        assert zeta == pytest.approx(4.0)
+
+    def test_invalid(self):
+        with pytest.raises(ValueError):
+            contraction_bound(3.0, 1.0)
+        with pytest.raises(ValueError):
+            contraction_bound(0.0, 1.0)
+
+
 def test_criterion_05_geometric_convergence():
     from teralasso.data import er_factor
 
@@ -173,7 +202,8 @@ def test_criterion_05_geometric_convergence():
     lo, hi = math.inf, -math.inf
     for _ in range(400):
         spec = ksum_eigensystem(f)
-        lo, hi = min(lo, spec.min_sum), max(hi, spec.max_sum)
+        lo = min(lo, spec.min_sum)
+        hi = max(hi, float(sum(v.max() for v in spec.eigvals)))
         grad = subspace_gradient(f, g, spec)
         f = ista_step(f, grad, rho, zeta)
         iterates.append(f)
@@ -311,4 +341,31 @@ def test_criterion_10_determinism(tmp_path):
         "byte-identical across reruns and thread counts"
         if not mismatched
         else f"mismatch in {mismatched}",
+    )
+
+
+def test_criterion_11_one_sample_as_the_tensor_grows():
+    # a single tensor sample gives factor k m_k rows, so at n = 1 the error
+    # falls as the dims grow, like sqrt(log p / m_k)
+    rows = []
+    for d in (8, 12, 16, 24):
+        spec = ExperimentSpec(
+            model="ar1",
+            dims=Dims([d, d, d]),
+            ar_coeff=0.5,
+            n_list=(1,),
+            rho_grid=tuple(np.logspace(-2, 0.5, 6).tolist()),
+            trials=3,
+            seed=1100,
+            max_iter=400,
+        )
+        rows += run_rate_experiment(spec)
+    x = np.log([r["n_eff"] for r in rows])
+    errs = [r["mean_frob_rel"] for r in rows]
+    slope = float(np.polyfit(x, np.log(errs), 1)[0])
+    ok = slope <= -0.25 and errs[-1] < errs[0]
+    report(
+        "criterion-11 one-sample-scaling",
+        ok,
+        f"slope {slope:.3f} <= -0.25, err [24,24,24] {errs[-1]:.4f} < [8,8,8] {errs[0]:.4f}",
     )

@@ -360,7 +360,9 @@ class TestSelfcheck:
         monkeypatch.setattr(
             teralasso.selfcheck,
             "basis_projection",
-            lambda A, dims: reference(A, dims).map(lambda m: m + 1e-3 * np.eye(len(m))),
+            lambda A, dims: FactorSet(
+                dims, [m + 1e-3 * np.eye(len(m)) for m in reference(A, dims).psi]
+            ),
         )
         code = run(["selfcheck", "--seed", "0"])
         out = capsys.readouterr().out

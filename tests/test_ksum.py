@@ -20,7 +20,6 @@ from teralasso.ksum import (
     ksum_frobenius,
     ksum_inner,
     ksum_logdet,
-    ksum_spectral_norm,
     offdiag_l1,
     proj_inverse_spectrum,
     proj_ksum_dense,
@@ -90,7 +89,7 @@ class TestEigensystem:
         f = FactorSet(Dims([3, 4]), [np.eye(3), np.eye(4)])
         s = ksum_eigensystem(f)
         assert s.min_sum == pytest.approx(2.0)
-        assert s.max_sum == pytest.approx(2.0)
+        assert eigsum_absmax(s.eigvals) == pytest.approx(2.0)
 
     def test_additivity_vs_dense(self):
         rng = np.random.default_rng(0)
@@ -283,16 +282,16 @@ class TestInnerProductsAndNorms:
 class TestSpectralNorm:
     def test_diagonal(self):
         f = FactorSet(Dims([2, 2]), [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
-        assert ksum_spectral_norm(ksum_eigensystem(f)) == pytest.approx(6.0)
+        assert eigsum_absmax(ksum_eigensystem(f).eigvals) == pytest.approx(6.0)
 
     def test_negative_side(self):
         f = FactorSet(Dims([2, 2]), [np.diag([-5.0, 1.0]), np.diag([1.0, 2.0])])
-        assert ksum_spectral_norm(ksum_eigensystem(f)) == pytest.approx(4.0)
+        assert eigsum_absmax(ksum_eigensystem(f).eigvals) == pytest.approx(4.0)
 
     def test_random_vs_dense(self):
         rng = np.random.default_rng(12)
         f = random_factors(Dims([4, 6]), rng)
-        assert ksum_spectral_norm(ksum_eigensystem(f)) == pytest.approx(
+        assert eigsum_absmax(ksum_eigensystem(f).eigvals) == pytest.approx(
             np.linalg.norm(kron_sum_dense(f), 2), abs=1e-9
         )
 
@@ -301,7 +300,7 @@ class TestSpectralNorm:
         for _ in range(10):
             dims = Dims([3, 4])
             f = random_factors(dims, rng)
-            s2 = ksum_spectral_norm(ksum_eigensystem(f))
+            s2 = eigsum_absmax(ksum_eigensystem(f).eigvals)
             bound = np.sqrt((dims.K + 1) / min(dims.ms)) * ksum_frobenius(f)
             assert s2 <= bound + 1e-10
 
@@ -373,6 +372,19 @@ class TestSerialization:
 small_dims = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(Dims)
 
 
+def whole_grid_projection(s):
+    """The factors of proj_inverse_spectrum(s) from the whole grid's 1/lambda."""
+    inv = 1.0 / eigsum_grid(s.eigvals)
+    K = s.dims.K
+    shift = (K - 1) / K * float(inv.sum()) / s.dims.p
+    factors = []
+    for k in range(K):
+        g = inv.sum(axis=tuple(b for b in range(K) if b != k)) / s.dims.m(k) - shift
+        G = (s.eigvecs[k] * g) @ s.eigvecs[k].T
+        factors.append(0.5 * (G + G.T))
+    return factors
+
+
 @st.composite
 def factor_sets(draw, pd=False):
     dims = draw(small_dims)
@@ -390,7 +402,7 @@ class TestGridClosedForms:
         diags = [np.diag(m) for m in f.psi]
         assert eigsum_absmax(diags) == float(np.abs(eigsum_grid(diags)).max())
 
-    @pytest.mark.parametrize("slab", [2**16, 1])
+    @pytest.mark.parametrize("slab", [2**16, 64, 7, 1])
     @settings(max_examples=150, deadline=None)
     @given(factor_sets(pd=True))
     def test_spectrum_makes_one_pass(self, slab, f):
@@ -409,25 +421,35 @@ class TestGridClosedForms:
             teralasso.ksum, "eigsum_grid", sized_grid
         ):
             logdet = ksum_logdet(s)
-            proj_inverse_spectrum(s)
+            proj = proj_inverse_spectrum(s)
             assert ksum_logdet(s) == logdet
             proj_inverse_spectrum(s)
         assert len(sizes) == 1
         if dims.p > slab and dims.K > 1:
             assert sizes[0] * dims.d[-1] <= dims.p
         assert s.min_sum == float(eigsum_grid(s.eigvals).min())
+        if dims.p <= slab:
+            # a grid of one slab gives the whole-grid expressions' bits
+            assert logdet == float(np.sum(np.log(eigsum_grid(s.eigvals))))
+            for a, b in zip(proj.psi, whole_grid_projection(s)):
+                np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("slab", [2**16, 1])
+    @pytest.mark.parametrize("slab", [2**16, 2, 1])
     def test_pd_check_covers_every_sum(self, slab):
         # the pass adds eigenvalues in the grid's order, so min_sum, which the
         # PD check tests, is the least value that log and 1/x read; added in
-        # another order, 1 + (-1 + 1e-17) would be 0
+        # another order, 1 + (-1 + 1e-17) would be 0.  One check serves both
+        # readers of the pass.
         f = FactorSet(Dims([2, 1, 1]), [np.diag([1.0, 2.0]), -np.eye(1), 1e-17 * np.eye(1)])
         s = ksum_eigensystem(f)
-        with mock.patch.object(teralasso.ksum, "_SLAB", slab), np.errstate(all="raise"):
+        check = mock.Mock(wraps=teralasso.ksum._check_pd)
+        with mock.patch.object(teralasso.ksum, "_SLAB", slab), mock.patch.object(
+            teralasso.ksum, "_check_pd", check
+        ), np.errstate(all="raise"):
             assert ksum_logdet(s) == np.log(1e-17)
             g = proj_inverse_spectrum(s)
         assert all(np.isfinite(m).all() for m in g.psi)
+        check.assert_called_once_with(s)
 
     @pytest.mark.parametrize(
         "d", [[1, 1000, 1000], [2, 700, 700], [100, 100, 100], [1000, 1000, 1]]

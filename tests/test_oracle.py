@@ -201,7 +201,9 @@ class TestSelfcheck:
         monkeypatch.setattr(
             teralasso.selfcheck,
             "basis_projection",
-            lambda A, dims: reference(A, dims).map(lambda m: m + 1e-3 * np.eye(len(m))),
+            lambda A, dims: FactorSet(
+                dims, [m + 1e-3 * np.eye(len(m)) for m in reference(A, dims).psi]
+            ),
         )
         results = {name: ok for name, _, _, ok in run_selfcheck(seed=0)}
         assert not results["projection-vs-basis"]

@@ -21,7 +21,6 @@ from teralasso.ksum import (
 from teralasso.solver import (
     SolverConfig,
     bb_stepsize,
-    contraction_bound,
     ista_step,
     kkt_residual,
     line_search,
@@ -402,24 +401,6 @@ class TestKkt:
         dims = Dims([3, 2])
         f = FactorSet(dims, [np.eye(3), np.eye(2)])  # Omega = 2I, not optimal
         assert kkt_residual(f, identity_gram(dims), [0.0, 0.0]) > 0.1
-
-
-class TestContractionBound:
-    def test_formulas(self):
-        s, zeta = contraction_bound(1.0, 3.0)
-        assert s == pytest.approx(1 - 2 / (1 + 9))
-        assert zeta == pytest.approx(2 / (1 + 1 / 9))
-
-    def test_equal_bounds(self):
-        s, zeta = contraction_bound(2.0, 2.0)
-        assert s == pytest.approx(0.0)
-        assert zeta == pytest.approx(4.0)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            contraction_bound(3.0, 1.0)
-        with pytest.raises(ValueError):
-            contraction_bound(0.0, 1.0)
 
 
 class TestSolve:
