@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: generate | estimate | evaluate | sweep | selfcheck.  Every run
-writes a manifest with the fully resolved configuration so it can be rerun
+writes a manifest with its command and configuration, which reruns it
 bit-identically.  Exit codes: 0 ok, 1 usage or I/O error, 2 solver hit the
 iteration cap, 3 self-check failure.
 """
@@ -194,7 +194,7 @@ def cmd_sweep(args) -> int:
     else:
         rows = tuning_sweep(spec, rho_ratios=tuple(resolved.get("rho-ratios", [1.0])))
     out = _out_dir(args)
-    write_table(rows, out / f"{kind}.csv", manifest={"command": "sweep", "config": resolved})
+    write_table(rows, out / f"{kind}.csv")
     _write_manifest(out, "sweep", resolved)
     print(f"sweep kind={kind} rows={len(rows)}")
     return 0

@@ -278,7 +278,7 @@ def read_ktns(path) -> DataTensorSet:
         if header.get("dtype") != "f64" or header.get("order") != KTNS_ORDER:
             raise ValueError(f"unsupported .ktns header: {header}")
         dims, n = Dims(header["dims"]), header["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f".ktns header n must be a positive integer, got {n!r}")
         size, expected = os.fstat(fh.fileno()).st_size - fh.tell(), n * dims.p * 8
         if size != expected:

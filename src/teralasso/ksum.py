@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -67,6 +68,14 @@ def _check_dense(p: int) -> None:
         raise DenseLimitError(f"dense path requested for p={p} > limit {_DENSE_LIMIT}")
 
 
+def _index(x) -> int:
+    """A true integer as an int; a float, string or bool is a TypeError,
+    where int() would truncate 2.7, read "22" as (2, 2) and True as 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class Dims:
     """Mode dimensions (d_1, ..., d_K) of a tensor-valued variable."""
@@ -76,9 +85,9 @@ class Dims:
 
     def __init__(self, d):
         try:
-            d = tuple(int(x) for x in d)
-        except TypeError:
-            raise ValueError(f"invalid mode dimensions {d!r}") from None
+            d = tuple(_index(x) for x in d)
+        except TypeError as e:
+            raise ValueError(f"invalid mode dimensions {d!r}: {e}") from None
         if len(d) < 1 or any(x < 1 for x in d):
             raise ValueError(f"invalid mode dimensions {d}")
         object.__setattr__(self, "d", d)

@@ -4,7 +4,6 @@ experiment suites (rate verification, support recovery, tuning sweeps)."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,8 +240,8 @@ def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
     ]
 
 
-def write_table(rows: list[dict], csv_path, manifest: dict | None = None) -> None:
-    """CSV with a header row, plus a JSON manifest next to it."""
+def write_table(rows: list[dict], csv_path) -> None:
+    """CSV with a header row; floats, numpy's too, are written exactly by ``repr``."""
     csv_path = Path(csv_path)
     with open(csv_path, "w", newline="") as fh:
         if rows:
@@ -250,9 +249,6 @@ def write_table(rows: list[dict], csv_path, manifest: dict | None = None) -> Non
             writer.writeheader()
             for row in rows:
                 writer.writerow(
-                    {k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()}
+                    {k: (repr(float(v)) if isinstance(v, (float, np.floating)) else v)
+                     for k, v in row.items()}
                 )
-    if manifest is not None:
-        with open(csv_path.with_suffix(".manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -87,70 +87,34 @@ def _dense_smooth(omega: np.ndarray, w: np.ndarray, problem: DenseProblem) -> fl
     return float(-np.log(w).sum() + np.sum(problem.s_hat * omega))
 
 
-def _ksum_basis(dims: Dims):
-    """Orthonormal basis of the symmetric Kronecker-sum subspace.
+def _ksum_basis(dims: Dims) -> list[FactorSet]:
+    """A basis of the symmetric Kronecker-sum subspace, as factor sets.
 
-    Yields (vectorized dense basis element, factor-level reconstruction fn).
-    Directions: the identity, per-factor trace-zero diagonals, and per-factor
-    symmetric off-diagonal pairs.
-    """
-    p = dims.p
-    elems = []
-
-    def embed(k, mat):
-        fs = [np.zeros((dk, dk)) for dk in dims.d]
-        fs[k] = mat
-        return kron_sum_dense(FactorSet(dims, fs))
-
-    ident = np.eye(p) / math.sqrt(p)
-
-    def ident_add(c, factors):
-        for k in range(dims.K):
-            factors[k] += c / math.sqrt(p) / dims.K * np.eye(dims.d[k])
-
-    elems.append((ident.ravel(), ident_add))
-    for k in range(dims.K):
-        dk = dims.d[k]
-        mk = dims.m(k)
-        # trace-zero diagonal directions: diff of consecutive diagonal units
-        for i in range(dk - 1):
-            mat = np.zeros((dk, dk))
-            mat[i, i] = 1.0
-            mat[i + 1, i + 1] = -1.0
-            mat /= math.sqrt(2 * mk)
-            dense = embed(k, mat)
-
-            def add(c, factors, k=k, mat=mat):
-                factors[k] += c * mat
-
-            elems.append((dense.ravel(), add))
-        for i in range(dk):
-            for j in range(i + 1, dk):
-                mat = np.zeros((dk, dk))
-                mat[i, j] = mat[j, i] = 1.0 / math.sqrt(2 * mk)
-                dense = embed(k, mat)
-
-                def add(c, factors, k=k, mat=mat):
-                    factors[k] += c * mat
-
-                elems.append((dense.ravel(), add))
-    return elems
+    Directions: the identity, each factor I/(K sqrt(p)); then per factor k the
+    consecutive diagonal differences and the symmetric off-diagonal pairs,
+    scaled by 1/sqrt(2 m_k), with zero factors elsewhere.  The set is not
+    orthonormal, since consecutive differences overlap, but least squares
+    needs only a basis."""
+    zeros = [np.zeros((dk, dk)) for dk in dims.d]
+    basis = [FactorSet(dims, [np.eye(dk) / (dims.K * math.sqrt(dims.p)) for dk in dims.d])]
+    for k, dk in enumerate(dims.d):
+        e = np.eye(dk)
+        upper = [np.outer(e[i], e[j]) for i in range(dk) for j in range(i + 1, dk)]
+        mats = [np.diag(e[i] - e[i + 1]) for i in range(dk - 1)] + [m + m.T for m in upper]
+        scale = 1.0 / math.sqrt(2 * dims.m(k))
+        basis += [FactorSet(dims, zeros[:k] + [scale * mat] + zeros[k + 1 :]) for mat in mats]
+    return basis
 
 
 def basis_projection(A: np.ndarray, dims: Dims) -> FactorSet:
     """Least-squares projection onto the subspace over an explicit basis.
 
     Independent reference for :func:`teralasso.ksum.proj_ksum_dense`."""
-    p = dims.p
-    _check_oracle(p)
-    A = np.asarray(A, dtype=float).ravel()
-    elems = _ksum_basis(dims)
-    B = np.stack([vec for vec, _ in elems], axis=1)
-    coef, *_ = np.linalg.lstsq(B, A, rcond=None)
-    factors = [np.zeros((dk, dk)) for dk in dims.d]
-    for c, (_, add) in zip(coef, elems):
-        add(float(c), factors)
-    return FactorSet(dims, factors)
+    _check_oracle(dims.p)
+    basis = _ksum_basis(dims)
+    B = np.stack([kron_sum_dense(b).ravel() for b in basis], axis=1)
+    coef, *_ = np.linalg.lstsq(B, np.asarray(A, dtype=float).ravel(), rcond=None)
+    return FactorSet(dims, [sum(c * b.psi[k] for c, b in zip(coef, basis)) for k in range(dims.K)])
 
 
 def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e-8):
@@ -199,7 +163,7 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
             zeta = np.sum(d * d) / curvature
         f, omega, w, smooth = new_f, new_omega, new_w, new_smooth
         dense_grad, grad = new_dense_grad, new_grad
-    return omega, _dense_kkt(omega, problem) < tol
+    return omega, _dense_kkt(omega, problem, grad) < tol
 
 
 def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem):
@@ -214,11 +178,9 @@ def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem
     return new_f, omega, np.linalg.eigvalsh(omega)
 
 
-def _dense_kkt(omega: np.ndarray, problem: DenseProblem, grad: FactorSet | None = None) -> float:
-    """KKT residual at ``omega``; ``grad`` is proj(S_hat - Omega^{-1}) if known."""
+def _dense_kkt(omega: np.ndarray, problem: DenseProblem, grad: FactorSet) -> float:
+    """KKT residual at ``omega``, whose gradient proj(S_hat - Omega^{-1}) is ``grad``."""
     dims = problem.dims
-    if grad is None:
-        grad = proj_ksum_dense(problem.s_hat - np.linalg.inv(omega), dims)
     f = proj_ksum_dense(omega, dims)
     resid = 0.0
     for k in range(dims.K):
@@ -240,15 +202,10 @@ def rearrange_rk(A: np.ndarray, dims: Dims, k: int) -> np.ndarray:
     subblock of A.  Satisfies vec(S_k) = (1/m_k) R_k(S_hat) vec(I_{m_k})."""
     p = dims.p
     _check_oracle(p)
-    A = np.asarray(A, dtype=float)
+    A = np.array(A, dtype=float)  # a copy: for d_k = 1 the result is a view of it
     if A.shape != (p, p):
         raise ValueError(f"expected {p}x{p} matrix")
     K = dims.K
     dk, mk = dims.d[k], dims.m(k)
     T = np.moveaxis(A.reshape(dims.d + dims.d), (k, K + k), (0, 1))
-    blocks = T.reshape(dk, dk, mk, mk)
-    out = np.empty((dk * dk, mk * mk))
-    for i in range(mk):
-        for j in range(mk):
-            out[:, i * mk + j] = blocks[:, :, i, j].ravel(order="F")
-    return out
+    return T.reshape(dk, dk, mk, mk).transpose(1, 0, 2, 3).reshape(dk * dk, mk * mk)

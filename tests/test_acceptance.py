@@ -322,7 +322,7 @@ def test_criterion_10_determinism(tmp_path):
             for rel in (
                 "gen/truth.json", "gen/samples.ktns", "gen/manifest.json",
                 "fit/estimate.json", "fit/report.json",
-                "sweep/support.csv", "sweep/support.manifest.json",
+                "sweep/support.csv", "sweep/manifest.json",
             )
         }
 

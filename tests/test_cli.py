@@ -191,7 +191,7 @@ class TestSweep:
         assert code == 0
         csv_text = (tmp_path / "support.csv").read_text()
         assert csv_text.splitlines()[0] == "p,K,n,rho_bar,precision,recall,mcc"
-        assert (tmp_path / "support.manifest.json").exists()
+        assert (tmp_path / "manifest.json").exists()
 
     def test_threads_byte_identical(self, tmp_path):
         outs = []
@@ -257,6 +257,9 @@ class TestBadInput:
             ["estimate", "--data", "{good}", "--rho-bar", "1e308"],
             ["sweep", "--kind", "support", "--model", "er", "--dims", "4,4", "--edges", "2,2",
              "--n", "2", "--trials", "1", "--config", "{rhogridhuge}"],
+            ["estimate", "--data", "{hdrnbool}"],
+            ["estimate", "--data", "{hdrdimsfloat}"],
+            ["evaluate", "--truth", "{truthdimsfloat}", "--estimate", "{truth}"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -266,7 +269,8 @@ class TestBadInput:
              "config-n-list", "config-seed-float", "config-edges-scalar", "config-rho-bar-list",
              "config-max-iter-float", "config-data-number", "config-selfcheck-seed-list",
              "header-not-object", "header-no-dims", "header-n-zero", "nan-rho",
-             "overflow-rho", "config-rho-grid-overflow"],
+             "overflow-rho", "config-rho-grid-overflow", "header-n-bool", "header-dims-float",
+             "truth-dims-float"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -291,6 +295,8 @@ class TestBadInput:
             "datanumber": {"data": 5},
             "seedlist": {"seed": [1]},
             "rhogridhuge": {"rho-grid": [1e308]},
+            # int() would read 4.5 as 4, a matching shape
+            "truthdimsfloat": {**truth, "dims": [4.5, 4]},
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
                  "truth": tmp_path / "truth.json"}
@@ -301,6 +307,9 @@ class TestBadInput:
             "hdrlist": b"[4, 4]",
             "hdrnodims": b'{"n": 1, "dtype": "f64", "order": "mode1-slowest"}',
             "hdrnzero": b'{"dims": [4, 4], "n": 0, "dtype": "f64", "order": "mode1-slowest"}',
+            # both fit the 128-byte payload if read as n = 1 and dims (4, 4)
+            "hdrnbool": b'{"dims": [4, 4], "n": true, "dtype": "f64", "order": "mode1-slowest"}',
+            "hdrdimsfloat": b'{"dims": [4.5, 4], "n": 1, "dtype": "f64", "order": "mode1-slowest"}',
         }
         for name, header in ktns_headers.items():
             files[name] = tmp_path / f"{name}.ktns"

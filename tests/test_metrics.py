@@ -324,16 +324,17 @@ class TestExperiments:
 
 class TestWriteTable:
     def test_round_trip_exact_floats(self, tmp_path):
-        rows = [{"n": 4, "x": 0.1 + 0.2}, {"n": 8, "x": 1.0 / 3.0}]
+        # a numpy float, as a rho grid from np.logspace holds, is written as a float
+        rows = [{"n": 4, "x": 0.1 + 0.2}, {"n": 8, "x": 1.0 / 3.0}, {"n": 2, "x": np.float64(0.7)}]
         path = tmp_path / "t.csv"
-        write_table(rows, path, manifest={"config": {"seed": 0}})
+        write_table(rows, path)
         import csv
 
         with open(path) as fh:
             back = list(csv.DictReader(fh))
         assert float(back[0]["x"]) == 0.1 + 0.2
         assert float(back[1]["x"]) == 1.0 / 3.0
-        assert (tmp_path / "t.manifest.json").exists()
+        assert back[2]["x"] == "0.7"
 
     def test_byte_identical_rewrites(self, tmp_path):
         rows = [{"a": 1, "b": math.pi}]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -160,16 +162,18 @@ class TestRearrangement:
             sk = rk @ np.eye(mk).ravel(order="F") / mk
             np.testing.assert_allclose(sk, g.s[k].ravel(order="F"), atol=1e-9)
 
-    def test_rank_one_on_kron_product(self):
-        # the rearrangement of kron(I, M) factors as an outer product
+    @pytest.mark.parametrize(
+        "d, k", [([2, 3], 0), ([2, 3], 1), ([3, 2, 2], 1)], ids=["2x3-k0", "2x3-k1", "3x2x2-k1"]
+    )
+    def test_rank_one_on_kron_product(self, d, k):
+        # the rearrangement of a Kronecker product factors as an outer product;
+        # non-symmetric factors tell row-major from column-major block order
         rng = np.random.default_rng(5)
-        dims = Dims([2, 3])
-        M = rng.standard_normal((2, 2))
-        M = 0.5 * (M + M.T)
-        A = np.kron(M, np.eye(3))
-        rk = rearrange_rk(A, dims, 0)
-        expected = np.outer(M.ravel(order="F"), np.eye(3).ravel(order="F"))
-        np.testing.assert_allclose(rk, expected, atol=1e-12)
+        factors = [rng.standard_normal((dk, dk)) for dk in d]
+        M = factors[k]
+        N = functools.reduce(np.kron, factors[:k] + factors[k + 1 :])
+        rk = rearrange_rk(functools.reduce(np.kron, factors), Dims(d), k)
+        np.testing.assert_allclose(rk, np.outer(M.ravel(order="F"), N.ravel()), atol=1e-12)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
