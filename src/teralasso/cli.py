@@ -98,16 +98,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _spec_from(resolved: dict) -> ExperimentSpec:
-    names = {f.name for f in fields(ExperimentSpec)}
+def _spec_from(command: str, resolved: dict) -> ExperimentSpec:
+    """The run's experiment.  Records in ``resolved`` the spec's default of each field the
+    command takes, but ``edges``, which ``dims`` gives, and ``ar-coeff`` outside ar1."""
+    keys = {"n_list" if key == "n" else key.replace("-", "_"): key for key in COMMANDS[command][2]}
+    names = keys.keys() & {f.name for f in fields(ExperimentSpec)}
     kwargs = {"model": "er"}
-    for key, val in resolved.items():
-        name = "n_list" if key == "n" else key.replace("-", "_")
+    for name in (n for n in names if keys[n] in resolved):
+        val = resolved[keys[name]]
         if name == "n_list" and not isinstance(val, list):
             val = [val]  # generate draws one n
-        if name in names:
-            kwargs[name] = tuple(val) if isinstance(val, list) else val
-    return ExperimentSpec(**{**kwargs, "dims": Dims(resolved["dims"])})
+        kwargs[name] = tuple(val) if isinstance(val, list) else val
+    spec = ExperimentSpec(**{**kwargs, "dims": Dims(resolved["dims"])})
+    for name in names - {"edges"} - ({"ar_coeff"} if spec.model != "ar1" else set()):
+        val = getattr(spec, name)
+        resolved.setdefault(keys[name], list(val) if isinstance(val, tuple) else val)
+    return spec
 
 
 def _require(command, resolved, *keys):
@@ -119,10 +125,8 @@ def _require(command, resolved, *keys):
 def cmd_generate(args) -> int:
     resolved = _resolve(args, _load_config(args.config))
     _require("generate", resolved, "dims", "n")
-    resolved.setdefault("model", "er")
-    resolved.setdefault("seed", 0)
-    seed = check_seed(resolved["seed"])
-    spec = _spec_from(resolved)
+    spec = _spec_from("generate", resolved)
+    seed = check_seed(spec.seed)
     n = resolved["n"]
     truth = make_truth(spec, seed)
     data = sample_ksum_gaussian(truth, n, seed)
@@ -140,6 +144,8 @@ def cmd_estimate(args) -> int:
     _require("estimate", resolved, "data")
     resolved.setdefault("rho-bar", 0.01)
     cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
+    for f in fields(cfg):
+        resolved.setdefault(f.name.replace("_", "-"), getattr(cfg, f.name))
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
@@ -186,13 +192,13 @@ def cmd_sweep(args) -> int:
     # --threads is accepted for compatibility and ignored; keep it out of the
     # reproducibility manifest so manifests match whatever value is passed
     resolved.pop("threads", None)
-    spec = _spec_from(resolved)
+    spec = _spec_from("sweep", resolved)
     if kind == "rate":
         rows = run_rate_experiment(spec)
     elif kind == "support":
         rows = run_support_experiment(spec)
     else:
-        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.get("rho-ratios", [1.0])))
+        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.setdefault("rho-ratios", [1.0])))
     out = _out_dir(args)
     write_table(rows, out / f"{kind}.csv")
     _write_manifest(out, "sweep", resolved)

@@ -15,13 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ksum import (
-    Dims,
-    FactorSet,
-    NotPositiveDefiniteError,
-    eigsum_grid,
-    ksum_eigensystem,
-)
+from .ksum import Dims, FactorSet, NotPositiveDefiniteError, eigsum_grid
 
 __all__ = [
     "DataTensorSet",
@@ -165,7 +159,7 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     bitgen = np.random.Philox(key=[check_seed(seed), 0])
-    spec = ksum_eigensystem(f)
+    spec = f.spectrum
     if spec.min_sum <= 0.0:
         raise NotPositiveDefiniteError(spec.min_sum)
     scale = 1.0 / np.sqrt(eigsum_grid(spec.eigvals).reshape(-1))
@@ -197,8 +191,8 @@ def _edge_factor(d: int, pairs: np.ndarray, q: int, seed: int, tag: int) -> np.n
     and seed-stable), which shuffles ``pairs`` in place, then draws their
     weights in the order picked.
     """
-    if q > len(pairs):
-        raise ValueError(f"q_edges={q} exceeds the {len(pairs)} possible edges")
+    if not 0 <= q <= len(pairs):
+        raise ValueError(f"q_edges={q} is not between 0 and the {len(pairs)} possible edges")
     rng = np.random.Generator(np.random.Philox(key=[check_seed(seed), tag]))
     for t in range(q):
         j = t + int(rng.integers(len(pairs) - t))

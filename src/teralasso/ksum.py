@@ -154,6 +154,11 @@ class FactorSet:
     def scale(self, c: float) -> "FactorSet":
         return FactorSet._trusted(self.dims, [c * m for m in self.psi])
 
+    @cached_property
+    def spectrum(self) -> SpectrumSet:
+        """The factors' eigensystem: one :func:`ksum_eigensystem` call per factor set."""
+        return ksum_eigensystem(self)
+
     @staticmethod
     def identity(dims: Dims) -> "FactorSet":
         """Factors I_{d_k}/K, whose Kronecker sum is I_p."""
@@ -250,24 +255,24 @@ def _marginals(a: np.ndarray) -> tuple[np.ndarray, ...]:
 def _slab_sums(vals) -> tuple[float, tuple[np.ndarray, ...], float]:
     """:attr:`SpectrumSet.grid_sums` of ``eigsum_grid(vals)``.
 
-    A grid of at most ``_SLAB`` entries is held whole.  A larger one is walked
-    once, in slabs: it splits after the first mode j whose trailing modes span
-    at most ``_SLAB`` entries (after mode K-1 if none does).  A slab is some
-    rows of the head grid of modes 1..j (+) modes j+1..K, added in
-    ``eigsum_grid``'s order, so every entry is the grid's to the bit.  It is
-    laid out (mode K, head rows, modes j+1..K-1), so the final add runs along
-    rows of about ``_SLAB`` / d_K entries, in a buffer of at most ``_SLAB``
-    entries (one head row, if that is longer) beside a second one for its logs.
+    A grid of one mode or of at most ``_SLAB`` entries is held whole.  A
+    larger one is walked once, in slabs: it splits after the first mode j
+    whose trailing modes span at most ``_SLAB`` entries (after mode K-1 if
+    none does).  A slab is some rows of the head grid of modes 1..j (+) modes
+    j+1..K, added in ``eigsum_grid``'s order, so every entry is the grid's to
+    the bit.  It is laid out (mode K, head rows, modes j+1..K-1), so the final
+    add runs along rows of about ``_SLAB`` / d_K entries, in a buffer of at
+    most ``_SLAB`` entries (one head row, if that is longer) beside a second
+    one for its logs.
     """
     d, K = [len(v) for v in vals], len(vals)
-    if math.prod(d) <= _SLAB:
+    if K == 1 or math.prod(d) <= _SLAB:
         grid = eigsum_grid(vals)
         inv = 1.0 / grid
         return float(np.sum(np.log(grid))), _marginals(inv), float(inv.sum())
-    j = next((j for j in range(1, K) if math.prod(d[j:]) <= _SLAB), max(K - 1, 1))
+    j = next((j for j in range(1, K) if math.prod(d[j:]) <= _SLAB), K - 1)
     head = eigsum_grid(vals[:j]).ravel()
-    # K = 1 walks a grid with a second mode of one zero eigenvalue
-    *mid, last = tuple(vals[j:]) or (np.zeros(1),)
+    *mid, last = vals[j:]
     cols = math.prod(len(v) for v in mid)
     rows = max(1, _SLAB // (cols * len(last)))
     buf = np.empty((2, len(last), min(rows, head.size) * cols))
@@ -292,8 +297,7 @@ def _slab_sums(vals) -> tuple[float, tuple[np.ndarray, ...], float]:
         mid_sums += sums.sum(axis=0)
         last_sums += slab @ ones_row[: r * cols]
     marginals = _marginals(head_sums.reshape(d[:j]))
-    if K > 1:
-        marginals += _marginals(mid_sums.reshape(d[j:-1])) + (last_sums,)
+    marginals += _marginals(mid_sums.reshape(d[j:-1])) + (last_sums,)
     return logdet, marginals, float(last_sums.sum())
 
 

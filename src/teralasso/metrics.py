@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
-from .ksum import Dims, FactorSet, eigsum_absmax, ksum_eigensystem, ksum_frobenius
+from .ksum import Dims, FactorSet, eigsum_absmax, ksum_frobenius
 from .solver import SolverConfig, solve
 
 __all__ = [
@@ -83,7 +83,7 @@ def estimation_errors(truth: FactorSet, est: FactorSet) -> dict:
     delta = est - truth
     frob_full = ksum_frobenius(delta)
     truth_frob = ksum_frobenius(truth)
-    spectral = eigsum_absmax(ksum_eigensystem(delta).eigvals)
+    spectral = eigsum_absmax(delta.spectrum.eigvals)
     factorwise = []
     for k in range(dims.K):
         off = delta.psi[k] - np.diag(np.diag(delta.psi[k]))

@@ -19,9 +19,7 @@ from .data import GramSet
 from .ksum import (
     Dims,
     FactorSet,
-    SpectrumSet,
     eigsum_absmax,
-    ksum_eigensystem,
     ksum_inner,
     ksum_logdet,
     offdiag_l1,
@@ -101,21 +99,17 @@ def resolve_rho(config: SolverConfig, dims: Dims, n: int) -> np.ndarray:
     return np.array(rho)
 
 
-def smooth_objective(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> float:
+def smooth_objective(f: FactorSet, g: GramSet) -> float:
     """-log|Omega| + sum_k m_k <S_k, Psi_k>, from factors only."""
-    if spectrum is None:
-        spectrum = ksum_eigensystem(f)
     trace_term = sum(
         f.dims.m(k) * float(np.sum(g.s[k] * f.psi[k])) for k in range(f.dims.K)
     )
-    return -ksum_logdet(spectrum) + trace_term
+    return -ksum_logdet(f.spectrum) + trace_term
 
 
-def objective(f: FactorSet, g: GramSet, rho) -> tuple[float, float, float]:
-    """Returns (smooth part, penalty, total)."""
-    fs = smooth_objective(f, g)
-    pen = offdiag_l1(f, rho)
-    return fs, pen, fs + pen
+def objective(f: FactorSet, g: GramSet, rho) -> float:
+    """The composite objective F: smooth part plus off-diagonal penalty."""
+    return smooth_objective(f, g) + offdiag_l1(f, rho)
 
 
 def shrink_offdiag(M: np.ndarray, thresh: float) -> np.ndarray:
@@ -128,12 +122,10 @@ def shrink_offdiag(M: np.ndarray, thresh: float) -> np.ndarray:
     return out
 
 
-def subspace_gradient(f: FactorSet, g: GramSet, spectrum: SpectrumSet | None = None) -> FactorSet:
+def subspace_gradient(f: FactorSet, g: GramSet) -> FactorSet:
     """Gradient blocks of the smooth objective restricted to the subspace:
     S_tilde_k - G_k, with G the spectral projection of Omega^{-1}."""
-    if spectrum is None:
-        spectrum = ksum_eigensystem(f)
-    return g.centered - proj_inverse_spectrum(spectrum)
+    return g.centered - proj_inverse_spectrum(f.spectrum)
 
 
 def ista_step(f: FactorSet, grad: FactorSet, rho, zeta: float) -> FactorSet:
@@ -188,7 +180,8 @@ def line_search(
     accepts every step that test accepts.  After ``SolverConfig.max_backtracks``
     rejections the safe step min(a^2, (min eigenvalue of Omega_t)^2) is tried,
     with a the lower bound 1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues
-    of every iterate.
+    of every iterate.  Each candidate carries its own spectrum, so a rejected
+    one's is dropped with it and the accepted one's lives on the iterate.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
     zeta, number of backtracks, <delta, delta> of the accepted step).
@@ -199,15 +192,13 @@ def line_search(
 
     def attempt(zeta, backtracks):
         cand = ista_step(f, grad, rho, zeta)
-        spec = ksum_eigensystem(cand)
-        if spec.min_sum <= 0:
+        if cand.spectrum.min_sum <= 0:
             return None
-        cand_total = smooth_objective(cand, g, spec) + offdiag_l1(cand, rho)
+        cand_total = objective(cand, g, rho)
         delta = cand - f
         dd = ksum_inner(delta, delta)
         if cand_total <= ref_total - _SIGMA / (2.0 * zeta) * dd + slack:
-            grad_cand = subspace_gradient(cand, g, spec)
-            return cand, cand_total, grad_cand, zeta, backtracks, dd
+            return cand, cand_total, subspace_gradient(cand, g), zeta, backtracks, dd
         return None
 
     zeta = zeta_start
@@ -219,7 +210,7 @@ def line_search(
     # S_k is PSD, so its spectral norm is its largest eigenvalue
     bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, g.dims.d, rho))
     a = 1.0 / bound if bound > 0 else math.inf
-    zeta_safe = min(a, ksum_eigensystem(f).min_sum) ** 2
+    zeta_safe = min(a, f.spectrum.min_sum) ** 2
     got = attempt(zeta_safe, SolverConfig.max_backtracks)
     if got is None:
         raise RuntimeError(
@@ -237,8 +228,7 @@ def bb_stepsize(
     short step BB2 = s / <dGrad, dGrad> (never longer than BB1), ABB takes BB2
     when BB2 < BB1 / 2 and BB1 otherwise.  ``dd`` is <dOmega, dOmega>, which
     the line search already computed; a <dGrad, dGrad> that rounds to <= 0
-    leaves BB1.  Falls back to the previous accepted stepsize on nonpositive
-    curvature."""
+    leaves BB1.  Returns ``fallback`` on nonpositive curvature."""
     denom = ksum_inner(delta_omega, delta_grad)
     if denom <= 0 or not math.isfinite(denom):
         return fallback
@@ -288,17 +278,16 @@ def solve(
     rho = resolve_rho(config, dims, n)
 
     f = init if init is not None else FactorSet.identity(dims)
-    spectrum = ksum_eigensystem(f)
-    if spectrum.min_sum <= 0:
+    if f.spectrum.min_sum <= 0:
         raise ValueError("initial iterate must be positive definite")
-    grad = subspace_gradient(f, g, spectrum)
-    total = smooth_objective(f, g, spectrum) + offdiag_l1(f, rho)
+    grad = subspace_gradient(f, g)
+    total = objective(f, g, rho)
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
 
     report = SolverReport()
     report.objective_trace.append(total)
-    zeta_next = prev_zeta = _ZETA0
+    zeta_next = _ZETA0
 
     for it in range(1, config.max_iter + 1):
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
@@ -307,10 +296,9 @@ def solve(
         if not math.isfinite(cand_total):
             raise RuntimeError("non-finite objective during iteration")
 
-        zeta_next = bb_stepsize(cand - f, cand_grad - grad, prev_zeta, dd)
-        prev_zeta = zeta
-
-        prev_total = total
+        # -log det is strictly convex, so only delta = 0 gives nonpositive
+        # curvature; the next trial is then the step just accepted
+        zeta_next = bb_stepsize(cand - f, cand_grad - grad, zeta, dd)
         f, grad, total = cand, cand_grad, cand_total
         report.objective_trace.append(total)
         report.stepsize_trace.append(zeta)
@@ -321,6 +309,7 @@ def solve(
         # tolerance stop is KKT-gated: objective stagnation alone can trigger
         # well before first-order optimality holds
         if it >= 3 and kkt < config.tol_kkt:
+            prev_total = report.objective_trace[-2]
             rel_change = abs(prev_total - total) / max(abs(prev_total), 1.0)
             report.termination = "objective-tol" if rel_change < _TOL_OBJ else "kkt-tol"
             break

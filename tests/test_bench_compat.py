@@ -45,6 +45,7 @@ def test_tracer_sees_solver_layers(tmp_path):
     metrics = tracer.metrics(rounds=1, startup_ms=0.0)
     for name in (
         "ksum.grid.calls",
+        "ksum.eigensystem.calls",
         "solver.gradient.ms",
         "solver.line_search.ms",
         "metrics.cells",

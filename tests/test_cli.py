@@ -41,7 +41,8 @@ class TestGenerate:
         assert (tmp_path / "samples.ktns").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "generate"
-        assert manifest["config"]["seed"] == 3
+        assert manifest["config"] == {"model": "er", "dims": [8, 8], "edges": [4, 4], "n": 5,
+                                      "seed": 3}
         data = read_ktns(tmp_path / "samples.ktns")
         assert data.n == 5 and data.dims.p == 64
 
@@ -71,6 +72,14 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 2  # flag wins over config file
         assert manifest["config"]["n"] == 3
+        # defaults the run read are recorded; edges, which dims gives, is not
+        assert manifest["config"]["model"] == "er" and "edges" not in manifest["config"]
+
+    def test_manifest_records_ar_coeff(self, tmp_path):
+        assert run(["generate", "--model", "ar1", "--dims", "3,3", "--n", "2",
+                    "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config == {"model": "ar1", "dims": [3, 3], "ar-coeff": 0.5, "n": 2, "seed": 0}
 
 
 class TestEstimate:
@@ -92,6 +101,9 @@ class TestEstimate:
         assert code == 0
         est = FactorSet.from_json((out / "estimate.json").read_text())
         assert est.dims.p == 64
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"data": str(dataset / "samples.ktns"), "rho-bar": 0.2,
+                          "max-iter": 1000, "tol-kkt": 1e-6}
         report = json.loads((out / "report.json").read_text())
         assert report["termination"] in ("objective-tol", "kkt-tol")
         assert report["final_kkt"] < 1e-6
@@ -191,7 +203,18 @@ class TestSweep:
         assert code == 0
         csv_text = (tmp_path / "support.csv").read_text()
         assert csv_text.splitlines()[0] == "p,K,n,rho_bar,precision,recall,mcc"
-        assert (tmp_path / "manifest.json").exists()
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config == {"kind": "support", "model": "er", "dims": [6, 6], "edges": [3, 3],
+                          "n": [30], "rho-grid": [0.1, 0.5], "trials": 2, "seed": 0,
+                          "max-iter": 100}
+
+    def test_manifest_records_defaults(self, tmp_path):
+        assert run(["sweep", "--kind", "tuning", "--dims", "3,3", "--n", "5",
+                    "--rho-grid", "0.3", "--trials", "1", "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config == {"kind": "tuning", "model": "er", "dims": [3, 3], "n": [5],
+                          "rho-grid": [0.3], "rho-ratios": [1.0], "trials": 1, "seed": 0,
+                          "max-iter": 400}
 
     def test_threads_byte_identical(self, tmp_path):
         outs = []
@@ -260,6 +283,7 @@ class TestBadInput:
             ["estimate", "--data", "{hdrnbool}"],
             ["estimate", "--data", "{hdrdimsfloat}"],
             ["evaluate", "--truth", "{truthdimsfloat}", "--estimate", "{truth}"],
+            ["generate", "--dims", "6,6", "--edges=-1,-3", "--n", "2"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -270,7 +294,7 @@ class TestBadInput:
              "config-max-iter-float", "config-data-number", "config-selfcheck-seed-list",
              "header-not-object", "header-no-dims", "header-n-zero", "nan-rho",
              "overflow-rho", "config-rho-grid-overflow", "header-n-bool", "header-dims-float",
-             "truth-dims-float"],
+             "truth-dims-float", "negative-edges"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0

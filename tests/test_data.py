@@ -350,6 +350,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             er_factor(4, 7, seed=0)
 
+    @pytest.mark.parametrize("gen", [er_factor, grid_factor])
+    def test_rejects_negative_edge_count(self, gen):
+        # a negative q once took all but |q| of the candidate pairs
+        with pytest.raises(ValueError, match="q_edges=-1"):
+            gen(4, -1, 0)
+
     def test_grid_adjacency(self):
         d = 16
         psi = grid_factor(d, 24, seed=2)  # all edges of the 4x4 grid

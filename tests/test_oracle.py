@@ -55,9 +55,8 @@ class TestDenseObjective:
         s_hat = data.values.T @ data.values / data.n
         rho = np.array([0.05, 0.1])
         prob = DenseProblem(dims, s_hat, rho)
-        _, _, total = objective(truth, g, rho)
         assert dense_objective(kron_sum_dense(truth), prob) == pytest.approx(
-            total, abs=1e-8
+            objective(truth, g, rho), abs=1e-8
         )
 
     def test_rejects_indefinite(self):

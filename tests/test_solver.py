@@ -17,6 +17,7 @@ from teralasso.ksum import (
     ksum_eigensystem,
     ksum_frobenius,
     ksum_inner,
+    offdiag_l1,
 )
 from teralasso.solver import (
     SolverConfig,
@@ -160,9 +161,10 @@ class TestObjectiveAndGradient:
         f = FactorSet(
             dims, [np.array([[1.0, 0.5], [0.5, 1.0]]), np.eye(2)]
         )
-        sm, pen, total = objective(f, identity_gram(dims), [0.1, 0.1])
+        g, rho = identity_gram(dims), [0.1, 0.1]
+        pen = offdiag_l1(f, rho)
         assert pen == pytest.approx(0.1 * 2 * 2 * 0.5)
-        assert total == pytest.approx(sm + pen)
+        assert objective(f, g, rho) == smooth_objective(f, g) + pen
 
     def test_gradient_zero_at_identity_solution(self):
         dims = Dims([3, 2])
@@ -233,7 +235,7 @@ class TestStepAndLineSearch:
         f = FactorSet.identity(dims)
         grad = subspace_gradient(f, g)
         rho = [0.05, 0.05]
-        base_total = objective(f, g, rho)[2]
+        base_total = objective(f, g, rho)
         cand, cand_total, cand_grad, zeta, bts, dd = line_search(
             f, g, grad, rho, 10.0, base_total
         )
@@ -252,14 +254,14 @@ class TestStepAndLineSearch:
         f = FactorSet.identity(dims).scale(0.5)
         grad = subspace_gradient(f, g)
         rho = [0.0, 0.0]
-        base_total = objective(f, g, rho)[2]
+        base_total = objective(f, g, rho)
         for zeta in np.logspace(-2, 2, 41):
             cand = ista_step(f, grad, rho, zeta)
-            if ksum_eigensystem(cand).min_sum > 0 and objective(cand, g, rho)[2] > base_total:
+            if ksum_eigensystem(cand).min_sum > 0 and objective(cand, g, rho) > base_total:
                 break
         else:
             pytest.fail("no PD step raises the objective")
-        cand_total = objective(cand, g, rho)[2]
+        cand_total = objective(cand, g, rho)
         assert line_search(f, g, grad, rho, zeta, base_total)[4] > 0
         delta = cand - f
         ref_total = cand_total + 1e-4 / (2 * zeta) * ksum_inner(delta, delta)
@@ -275,11 +277,32 @@ class TestStepAndLineSearch:
         g = identity_gram(dims)
         f = FactorSet.identity(dims)
         grad = subspace_gradient(f, g)
-        base_total = objective(f, g, [0.0, 0.0])[2]
+        base_total = objective(f, g, [0.0, 0.0])
         a = eig_bound(g, [0.0, 0.0])
         _, _, _, zeta, bts, _ = line_search(f, g, grad, [0.0, 0.0], 1e8, base_total)
         assert zeta == pytest.approx(min(a, ksum_eigensystem(f).min_sum) ** 2)
         assert bts == 0
+
+    def test_safe_step_reuses_the_iterate_spectrum(self, monkeypatch):
+        # the iterate's spectrum, read by its gradient and objective, also
+        # gives the safe step: the only new eigensystem is the candidate's
+        monkeypatch.setattr(SolverConfig, "max_backtracks", 0)
+        dims = Dims([3, 4])
+        _, g = random_problem(dims, n=2, seed=21)
+        f = FactorSet.identity(dims)
+        rho = [0.1, 0.1]
+        grad = subspace_gradient(f, g)
+        base_total = objective(f, g, rho)
+        calls = []
+        eigensystem = teralasso.ksum.ksum_eigensystem
+
+        def counting_eigensystem(fs):
+            calls.append(fs)
+            return eigensystem(fs)
+
+        monkeypatch.setattr(teralasso.ksum, "ksum_eigensystem", counting_eigensystem)
+        cand = line_search(f, g, grad, rho, 1e8, base_total)[0]
+        assert len(calls) == 1 and calls[0] is cand
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_safe_step_below_eigenvalue_bound(self, n, monkeypatch):
@@ -291,7 +314,7 @@ class TestStepAndLineSearch:
         f = FactorSet.identity(dims)
         grad = subspace_gradient(f, g)
         rho = resolve_rho(SolverConfig(rho_bar=0.3), dims, g.n)
-        base_total = objective(f, g, rho)[2]
+        base_total = objective(f, g, rho)
         a = eig_bound(g, rho)
         cand, cand_total, _, zeta, bts, dd = line_search(
             f, g, grad, rho, 1e8, base_total
@@ -312,13 +335,12 @@ class TestStepAndLineSearch:
             dims = Dims(rng.integers(1, 7, size=rng.integers(1, 4)))
             truth, g = random_problem(dims, n=int(rng.integers(1, 6)), seed=trial)
             f = truth if trial % 2 else FactorSet.identity(dims)
-            spec = ksum_eigensystem(f)
-            grad = subspace_gradient(f, g, spec)
+            grad = subspace_gradient(f, g)
             rho = resolve_rho(SolverConfig(rho_bar=float(rng.uniform(0, 2))), dims, g.n)
-            base_smooth = smooth_objective(f, g, spec)
-            base_total = base_smooth + objective(f, g, rho)[1]
+            base_smooth = smooth_objective(f, g)
+            base_total = objective(f, g, rho)
             a = eig_bound(g, rho)
-            safe = min(a, spec.min_sum) ** 2
+            safe = min(a, f.spectrum.min_sum) ** 2
             for zeta in [*np.logspace(-4, 2, 13), safe]:
                 cand = ista_step(f, grad, rho, zeta)
                 if ksum_eigensystem(cand).min_sum <= 0:
@@ -517,7 +539,7 @@ class TestSolve:
 
         truth, g = random_problem(Dims([5, 6]), n=3, seed=17)
         monkeypatch.setattr(teralasso.ksum, "eigsum_grid", counting_grid)
-        monkeypatch.setattr(teralasso.solver, "ksum_eigensystem", counting_eigensystem)
+        monkeypatch.setattr(teralasso.ksum, "ksum_eigensystem", counting_eigensystem)
         monkeypatch.setattr(teralasso.solver, "_ZETA0", 50.0)
         _, report = solve(g, config=SolverConfig(rho_bar=0.1, max_iter=60))
         attempts = report.iterations + sum(report.backtrack_counts)
