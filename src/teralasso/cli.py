@@ -17,6 +17,7 @@ from pathlib import Path
 from .data import check_seed, gram_factors, read_ktns, sample_ksum_gaussian, write_ktns
 from .ksum import Dims, FactorSet
 from .metrics import (
+    MODELS,
     ExperimentSpec,
     edge_support,
     estimation_errors,
@@ -30,10 +31,6 @@ from .metrics import (
 from .solver import SolverConfig, solve
 
 
-class CliError(ValueError):
-    """Bad input found by the CLI itself: one error line and exit 1."""
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -41,9 +38,9 @@ def _load_config(path):
         with open(path) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     if not isinstance(config, dict):
-        raise CliError(f"config {path} is not a JSON object")
+        raise ValueError(f"config {path} is not a JSON object")
     return config
 
 
@@ -58,7 +55,7 @@ def _resolve(args, config):
     params = COMMANDS[args.command][2]
     unknown = sorted(set(config) - set(params))
     if unknown:
-        raise CliError(f"{args.command}: unknown config key {', '.join(map(repr, unknown))}")
+        raise ValueError(f"{args.command}: unknown config key {', '.join(map(repr, unknown))}")
     out = {}
     for key, conv in params.items():
         val = getattr(args, key.replace("-", "_"), None)
@@ -72,9 +69,9 @@ def _resolve(args, config):
 def _read_config_value(command, key, conv, value):
     if isinstance(conv, tuple):
         if value not in conv:
-            raise CliError(f"unknown {command} {key} {value!r}; choose from {', '.join(conv)}")
+            raise ValueError(f"unknown {command} {key} {value!r}; choose from {', '.join(conv)}")
         return value
-    invalid = CliError(f"{command}: invalid value {json.dumps(value)} for config key {key!r}")
+    invalid = ValueError(f"{command}: invalid value {json.dumps(value)} for config key {key!r}")
     if isinstance(value, list) and conv not in (_int_list, _float_list):
         raise invalid  # one value per single-value key
     items = value if isinstance(value, list) else [value]
@@ -99,18 +96,23 @@ def _out_dir(args) -> Path:
 
 
 def _spec_from(command: str, resolved: dict) -> ExperimentSpec:
-    """The run's experiment.  Records in ``resolved`` the spec's default of each field the
-    command takes, but ``edges``, which ``dims`` gives, and ``ar-coeff`` outside ar1."""
+    """The run's experiment; ``edges`` with ar1 and ``ar-coeff`` with another model are
+    errors.  Records in ``resolved`` the spec's default of each field the command takes and
+    the model reads, but ``edges``, which ``dims`` gives."""
+    model = resolved.get("model", "er")
+    ignored = "edges" if model == "ar1" else "ar-coeff"
+    if ignored in resolved:
+        raise ValueError(f"{command}: the {model} model does not read '{ignored}'")
     keys = {"n_list" if key == "n" else key.replace("-", "_"): key for key in COMMANDS[command][2]}
     names = keys.keys() & {f.name for f in fields(ExperimentSpec)}
-    kwargs = {"model": "er"}
+    kwargs = {"model": model}
     for name in (n for n in names if keys[n] in resolved):
         val = resolved[keys[name]]
         if name == "n_list" and not isinstance(val, list):
             val = [val]  # generate draws one n
         kwargs[name] = tuple(val) if isinstance(val, list) else val
     spec = ExperimentSpec(**{**kwargs, "dims": Dims(resolved["dims"])})
-    for name in names - {"edges"} - ({"ar_coeff"} if spec.model != "ar1" else set()):
+    for name in names - {"edges", ignored.replace("-", "_")}:
         val = getattr(spec, name)
         resolved.setdefault(keys[name], list(val) if isinstance(val, tuple) else val)
     return spec
@@ -119,7 +121,7 @@ def _spec_from(command: str, resolved: dict) -> ExperimentSpec:
 def _require(command, resolved, *keys):
     for key in keys:
         if key not in resolved:
-            raise CliError(f"{command}: missing required parameter '{key}'")
+            raise ValueError(f"{command}: missing required parameter '{key}'")
 
 
 def cmd_generate(args) -> int:
@@ -149,7 +151,7 @@ def cmd_estimate(args) -> int:
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read data file: {exc}")
+        raise ValueError(f"cannot read data file: {exc}")
     est, report = solve(gram_factors(data), n=data.n, config=cfg)
     out = _out_dir(args)
     with open(out / "estimate.json", "w") as fh:
@@ -171,9 +173,7 @@ def cmd_evaluate(args) -> int:
         truth, est = (FactorSet.from_json(Path(resolved[key]).read_text())
                       for key in ("truth", "estimate"))
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read factor file: {exc}")
-    if truth.dims.d != est.dims.d:
-        raise CliError(f"dimension mismatch: {truth.dims.d} vs {est.dims.d}")
+        raise ValueError(f"cannot read factor file: {exc}")
     errs = estimation_errors(truth, est)
     errs["mcc"] = mcc(edge_support(truth), edge_support(est))
     out = _out_dir(args)
@@ -189,6 +189,8 @@ def cmd_sweep(args) -> int:
     resolved = _resolve(args, _load_config(args.config))
     _require("sweep", resolved, "dims")
     kind = resolved.setdefault("kind", "rate")
+    if kind != "tuning" and "rho-ratios" in resolved:
+        raise ValueError(f"sweep: kind {kind} does not read 'rho-ratios'; kind tuning does")
     # --threads is accepted for compatibility and ignored; keep it out of the
     # reproducibility manifest so manifests match whatever value is passed
     resolved.pop("threads", None)
@@ -230,8 +232,7 @@ def _float_list(text):
     return [float(x) for x in text.split(",")]
 
 
-_TRUTH_MODEL = {"model": ("er", "grid", "ar1"), "dims": _int_list, "edges": _int_list,
-                "ar-coeff": float}
+_TRUTH_MODEL = {"model": MODELS, "dims": _int_list, "edges": _int_list, "ar-coeff": float}
 
 # Each command's parameters, spelled as config keys (``rho-bar``), with the
 # converter that reads the flag ``--rho-bar`` and the config value alike, or

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ksum import Dims, FactorSet, NotPositiveDefiniteError, eigsum_grid
+from .ksum import Dims, FactorSet, _check_pd, eigsum_grid
 
 __all__ = [
     "DataTensorSet",
@@ -160,8 +160,7 @@ def sample_ksum_gaussian(f: FactorSet, n: int, seed: int) -> DataTensorSet:
         raise ValueError(f"n must be at least 1, got {n}")
     bitgen = np.random.Philox(key=[check_seed(seed), 0])
     spec = f.spectrum
-    if spec.min_sum <= 0.0:
-        raise NotPositiveDefiniteError(spec.min_sum)
+    _check_pd(spec)
     scale = 1.0 / np.sqrt(eigsum_grid(spec.eigvals).reshape(-1))
     dims = f.dims
     rng = np.random.Generator(bitgen)

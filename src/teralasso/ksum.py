@@ -63,9 +63,9 @@ class NotPositiveDefiniteError(ValueError):
         self.min_sum = float(min_sum)
 
 
-def _check_dense(p: int) -> None:
-    if p > _DENSE_LIMIT:
-        raise DenseLimitError(f"dense path requested for p={p} > limit {_DENSE_LIMIT}")
+def _check_dense(p: int, limit: int = _DENSE_LIMIT) -> None:
+    if p > limit:
+        raise DenseLimitError(f"dense path limited to p <= {limit}, got p={p}")
 
 
 def _index(x) -> int:
@@ -106,13 +106,15 @@ class Dims:
         return tuple(self.p // dk for dk in self.d)
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
+def _symmetrize(M: np.ndarray, k: int) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"factor must be square, got shape {M.shape}")
+        raise ValueError(f"factor {k} must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():  # before M - M.T, which warns on an Inf
+        raise ValueError(f"factor {k} has non-finite entries")
     scale = np.abs(M).max() if M.size else 0.0
     if scale and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
-        raise ValueError("factor is not symmetric within tolerance")
+        raise ValueError(f"factor {k} is not symmetric within tolerance")
     return 0.5 * (M + M.T)
 
 
@@ -124,7 +126,7 @@ class FactorSet:
     psi: tuple[np.ndarray, ...]
 
     def __init__(self, dims: Dims, psi):
-        psi = tuple(_symmetrize(m) for m in psi)
+        psi = tuple(_symmetrize(m, k) for k, m in enumerate(psi))
         if len(psi) != dims.K:
             raise ValueError(f"expected {dims.K} factors, got {len(psi)}")
         for k, m in enumerate(psi):
@@ -182,8 +184,6 @@ class FactorSet:
             a = np.asarray(flat, dtype=float)
             if a.shape != (dk * dk,):
                 raise ValueError(f"factor {k} has {a.size} entries, expected {dk * dk}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"factor {k} has non-finite entries")
             psi.append(a.reshape(dk, dk))
         return FactorSet(dims, psi)
 
@@ -313,9 +313,8 @@ def eigsum_absmax(vals) -> float:
 
 
 def _check_pd(s: SpectrumSet) -> None:
-    mn = s.min_sum
-    if mn <= 0.0:
-        raise NotPositiveDefiniteError(mn)
+    if not s.min_sum > 0.0:  # a NaN fails too
+        raise NotPositiveDefiniteError(s.min_sum)
 
 
 def ksum_logdet(s: SpectrumSet) -> float:

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
-from .ksum import Dims, FactorSet, eigsum_absmax, ksum_frobenius
+from .ksum import Dims, FactorSet, _check_same_dims, eigsum_absmax, ksum_frobenius
 from .solver import SolverConfig, solve
 
 __all__ = [
+    "MODELS",
     "SUPPORT_EPS",
     "EdgeSupport",
     "ExperimentSpec",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 SUPPORT_EPS = 1e-8
+MODELS = ("er", "grid", "ar1")  # the truth models of make_truth
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ def edge_support(f: FactorSet, eps: float = SUPPORT_EPS) -> EdgeSupport:
 
 
 def _confusion(truth: EdgeSupport, est: EdgeSupport):
-    if truth.dims.d != est.dims.d:
-        raise ValueError("dimension mismatch between edge supports")
+    _check_same_dims(truth, est)
     tp = tn = fp = fn = 0
     for t, e, dk in zip(truth.edges, est.edges, truth.dims.d):
         hit, pos, sel = (int(np.count_nonzero(m)) for m in (t & e, t, e))
@@ -77,10 +78,8 @@ def precision_recall(truth: EdgeSupport, est: EdgeSupport) -> tuple[float, float
 
 def estimation_errors(truth: FactorSet, est: FactorSet) -> dict:
     """Errors of the Kronecker sums, invariant to factor trace shifts."""
-    if truth.dims.d != est.dims.d:
-        raise ValueError("dimension mismatch")
     dims = truth.dims
-    delta = est - truth
+    delta = est - truth  # checks the dims
     frob_full = ksum_frobenius(delta)
     truth_frob = ksum_frobenius(truth)
     spectral = eigsum_absmax(delta.spectrum.eigvals)
@@ -111,7 +110,7 @@ def effective_sample_size(dims: Dims, n: int) -> float:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    model: str  # er | grid | ar1
+    model: str  # one of MODELS
     dims: Dims
     edges: tuple[int, ...] = ()
     ar_coeff: float = 0.5
@@ -122,7 +121,7 @@ class ExperimentSpec:
     max_iter: int = 400
 
     def __post_init__(self):
-        if self.model not in ("er", "grid", "ar1"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.trials < 1 or any(n < 1 for n in self.n_list):
             raise ValueError("counts must be positive")

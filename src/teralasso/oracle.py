@@ -9,12 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ksum import (
-    Dims,
-    FactorSet,
-    kron_sum_dense,
-    proj_ksum_dense,
-)
+from .ksum import Dims, FactorSet, _check_dense, kron_sum_dense, proj_ksum_dense
 from .solver import shrink_offdiag
 
 __all__ = [
@@ -29,11 +24,6 @@ ORACLE_P_LIMIT = 64
 ORACLE_SOLVER_P_LIMIT = 36
 # dense_solver halves a step at most this often before it takes the safe step
 _MAX_HALVINGS = 30
-
-
-def _check_oracle(p: int, limit: int = ORACLE_P_LIMIT) -> None:
-    if p > limit:
-        raise ValueError(f"oracle path limited to p <= {limit}, got p={p}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +55,7 @@ def dense_objective(omega: np.ndarray, problem: DenseProblem) -> float:
 
     Omega must be PD and lie in the Kronecker-sum subspace."""
     p = problem.dims.p
-    _check_oracle(p)
+    _check_dense(p, ORACLE_P_LIMIT)
     omega = np.asarray(omega, dtype=float)
     f = proj_ksum_dense(omega, problem.dims)
     if np.abs(kron_sum_dense(f) - omega).max() > 1e-8 * max(np.abs(omega).max(), 1.0):
@@ -73,7 +63,7 @@ def dense_objective(omega: np.ndarray, problem: DenseProblem) -> float:
     # the eigenvalues, not the slogdet sign: that sign is +1 for an even
     # number of negative eigenvalues
     w = np.linalg.eigvalsh(omega)
-    if w.min() <= 0:
+    if not w.min() > 0:  # a NaN fails too
         raise ValueError("omega is not positive definite")
     penalty = 0.0
     for k, psi in enumerate(f.psi):
@@ -110,7 +100,7 @@ def basis_projection(A: np.ndarray, dims: Dims) -> FactorSet:
     """Least-squares projection onto the subspace over an explicit basis.
 
     Independent reference for :func:`teralasso.ksum.proj_ksum_dense`."""
-    _check_oracle(dims.p)
+    _check_dense(dims.p, ORACLE_P_LIMIT)
     basis = _ksum_basis(dims)
     B = np.stack([kron_sum_dense(b).ravel() for b in basis], axis=1)
     coef, *_ = np.linalg.lstsq(B, np.asarray(A, dtype=float).ravel(), rcond=None)
@@ -130,7 +120,7 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
     Returns (omega, converged flag).  Reference optimum for the fast solver."""
     dims = problem.dims
     p = dims.p
-    _check_oracle(p, ORACLE_SOLVER_P_LIMIT)
+    _check_dense(p, ORACLE_SOLVER_P_LIMIT)
     omega = np.eye(p)
     f = proj_ksum_dense(omega, dims)
     w = np.ones(p)
@@ -201,7 +191,7 @@ def rearrange_rk(A: np.ndarray, dims: Dims, k: int) -> np.ndarray:
     """Block rearrangement: column (i*m_k + j) is vec of the (i, j) mode-k
     subblock of A.  Satisfies vec(S_k) = (1/m_k) R_k(S_hat) vec(I_{m_k})."""
     p = dims.p
-    _check_oracle(p)
+    _check_dense(p, ORACLE_P_LIMIT)
     A = np.array(A, dtype=float)  # a copy: for d_k = 1 the result is a view of it
     if A.shape != (p, p):
         raise ValueError(f"expected {p}x{p} matrix")

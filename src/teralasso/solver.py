@@ -192,7 +192,7 @@ def line_search(
 
     def attempt(zeta, backtracks):
         cand = ista_step(f, grad, rho, zeta)
-        if cand.spectrum.min_sum <= 0:
+        if not cand.spectrum.min_sum > 0:
             return None
         cand_total = objective(cand, g, rho)
         delta = cand - f
@@ -240,15 +240,13 @@ def bb_stepsize(
     return short if 0 < short < _ABB_RATIO * zeta else zeta
 
 
-def kkt_residual(f: FactorSet, g: GramSet, rho, grad: FactorSet | None = None) -> float:
-    """Maximal first-order optimality violation of the convex objective.
+def kkt_residual(f: FactorSet, rho, grad: FactorSet) -> float:
+    """Maximal first-order optimality violation at ``f``, whose gradient is ``grad``.
 
     Off-diagonals use the l1 subgradient conditions per factor; diagonals use
     the diagonal of the Kronecker-sum gradient, which is invariant to the
     non-identifiable trace shifts between factors.
     """
-    if grad is None:
-        grad = subspace_gradient(f, g)
     rho = np.asarray(rho, dtype=float)
     resid = 0.0
     for k, (G, P) in enumerate(zip(grad.psi, f.psi)):
@@ -278,9 +276,7 @@ def solve(
     rho = resolve_rho(config, dims, n)
 
     f = init if init is not None else FactorSet.identity(dims)
-    if f.spectrum.min_sum <= 0:
-        raise ValueError("initial iterate must be positive definite")
-    grad = subspace_gradient(f, g)
+    grad = subspace_gradient(f, g)  # a non-PD init raises NotPositiveDefiniteError
     total = objective(f, g, rho)
     if not math.isfinite(total):
         raise RuntimeError("non-finite objective at initialization")
@@ -305,7 +301,7 @@ def solve(
         report.backtrack_counts.append(bts)
         report.iterations = it
 
-        kkt = kkt_residual(f, g, rho, grad)
+        kkt = kkt_residual(f, rho, grad)
         # tolerance stop is KKT-gated: objective stagnation alone can trigger
         # well before first-order optimality holds
         if it >= 3 and kkt < config.tol_kkt:

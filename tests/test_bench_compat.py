@@ -45,9 +45,12 @@ def test_tracer_sees_solver_layers(tmp_path):
     metrics = tracer.metrics(rounds=1, startup_ms=0.0)
     for name in (
         "ksum.grid.calls",
+        "ksum.logdet.ms",
+        "ksum.proj_inverse.ms",
         "ksum.eigensystem.calls",
         "solver.gradient.ms",
         "solver.line_search.ms",
+        "solver.kkt.calls",
         "metrics.cells",
         "metrics.evaluate.ms",
         "metrics.sweep.self_ms",

@@ -284,6 +284,13 @@ class TestBadInput:
             ["estimate", "--data", "{hdrdimsfloat}"],
             ["evaluate", "--truth", "{truthdimsfloat}", "--estimate", "{truth}"],
             ["generate", "--dims", "6,6", "--edges=-1,-3", "--n", "2"],
+            ["sweep", "--kind", "support", "--model", "er", "--dims", "4,4", "--edges", "2,2",
+             "--n", "2", "--rho-grid", "0.1", "--trials", "1", "--config", "{rhoratios}"],
+            ["generate", "--model", "ar1", "--dims", "4,4", "--edges", "2,2", "--n", "2"],
+            ["generate", "--model", "er", "--dims", "4,4", "--ar-coeff", "0.9", "--n", "2"],
+            ["generate", "--dims", "4,4", "--n", "2", "--config", "{missing}"],
+            ["generate", "--dims", "4,4", "--n", "2", "--config", "{malformed}"],
+            ["generate", "--dims", "4,4", "--n", "2", "--config", "{configlist}"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -294,7 +301,8 @@ class TestBadInput:
              "config-max-iter-float", "config-data-number", "config-selfcheck-seed-list",
              "header-not-object", "header-no-dims", "header-n-zero", "nan-rho",
              "overflow-rho", "config-rho-grid-overflow", "header-n-bool", "header-dims-float",
-             "truth-dims-float", "negative-edges"],
+             "truth-dims-float", "negative-edges", "rho-ratios-off-tuning", "ar1-edges",
+             "er-ar-coeff", "config-missing", "config-malformed", "config-not-object"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -321,9 +329,14 @@ class TestBadInput:
             "rhogridhuge": {"rho-grid": [1e308]},
             # int() would read 4.5 as 4, a matching shape
             "truthdimsfloat": {**truth, "dims": [4.5, 4]},
+            # a parameter the sweep kind would not read
+            "rhoratios": {"rho-ratios": [2.0]},
+            "configlist": [1, 2],  # not a JSON object
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
-                 "truth": tmp_path / "truth.json"}
+                 "truth": tmp_path / "truth.json", "missing": tmp_path / "missing.json",
+                 "malformed": tmp_path / "malformed.json"}
+        files["malformed"].write_text('{"dims": [4, 4],')
         for name, blob in json_files.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(json.dumps(blob))
@@ -345,6 +358,21 @@ class TestBadInput:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, needle",
+        [(None, "cannot read config"), ('{"dims": [4, 4],', "cannot read config"),
+         ("[1, 2]", "is not a JSON object")],
+        ids=["missing", "malformed", "not-object"],
+    )
+    def test_config_file_error_names_the_file(self, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = run(["generate", "--dims", "4,4", "--n", "2", "--config", str(cfg),
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and f"config {cfg}" in err and needle in err
 
 
 class TestUsageErrors:

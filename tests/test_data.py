@@ -35,6 +35,18 @@ def random_pd_factors(dims, seed):
     return FactorSet(dims, factors)
 
 
+class TestDataTensorSet:
+    @pytest.mark.parametrize(
+        "shape, needle",
+        [((3, 5), r"values must be \(n, 4\)"), ((4,), "values must be"),
+         ((1, 2, 2), "values must be"), ((0, 4), "at least one replicate")],
+        ids=["wrong-p", "one-dim", "three-dim", "no-replicate"],
+    )
+    def test_rejects(self, shape, needle):
+        with pytest.raises(ValueError, match=needle):
+            DataTensorSet(Dims([2, 2]), np.zeros(shape))
+
+
 class TestMatricize:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -70,6 +82,8 @@ class TestMatricize:
     def test_bad_mode(self):
         with pytest.raises(IndexError):
             matricize(np.zeros(6), Dims([2, 3]), 2)
+        with pytest.raises(IndexError):
+            tensorize(np.zeros((3, 2)), Dims([2, 3]), -1)
 
     def test_multiplication_matches_kron(self):
         # mode-k multiplication implements (I (x) M (x) I) on the flat vector

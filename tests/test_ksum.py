@@ -13,6 +13,7 @@ from teralasso.ksum import (
     Dims,
     FactorSet,
     NotPositiveDefiniteError,
+    SpectrumSet,
     eigsum_absmax,
     eigsum_grid,
     kron_sum_dense,
@@ -111,6 +112,26 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             FactorSet(Dims([2, 2]), [np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
 
+    @pytest.mark.parametrize(
+        "psi, needle",
+        [
+            ([np.eye(2)], "expected 2 factors"),
+            ([np.eye(2)] * 3, "expected 2 factors"),
+            ([np.eye(2), np.eye(3)], r"factor 1 has shape \(3, 3\)"),
+            ([np.eye(2), np.ones((2, 3))], "factor 1 must be square"),
+            ([np.ones(4), np.eye(2)], "factor 0 must be square"),
+            ([np.eye(2), np.diag([1.0, np.nan])], "factor 1 has non-finite entries"),
+            # rejected before M - M.T, which warns on an Inf
+            ([np.diag([np.inf, 1.0]), np.eye(2)], "factor 0 has non-finite entries"),
+            ([np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.eye(2)], "factor 0 has non-finite"),
+        ],
+        ids=["too-few", "too-many", "wrong-shape", "non-square", "one-dim", "nan-entry",
+             "inf-entry", "inf-offdiag"],
+    )
+    def test_factor_set_rejects(self, psi, needle):
+        with pytest.raises(ValueError, match=needle):
+            FactorSet(Dims([2, 2]), psi)
+
 
 class TestLogdet:
     def test_identity(self):
@@ -134,6 +155,15 @@ class TestLogdet:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             ksum_logdet(ksum_eigensystem(f))
         assert exc.value.min_sum == pytest.approx(-2.0)
+
+    def test_nan_spectrum_is_not_pd(self):
+        # NaN fails every comparison, so the PD test must ask min_sum > 0
+        vals, vecs = (np.array([np.nan, 1.0]), np.ones(1)), (np.eye(2), np.eye(1))
+        s = SpectrumSet(Dims([2, 1]), vals, vecs)
+        with pytest.raises(NotPositiveDefiniteError, match="nan"):
+            ksum_logdet(s)
+        with pytest.raises(NotPositiveDefiniteError):
+            proj_inverse_spectrum(s)
 
 
 class TestProjection:
@@ -190,6 +220,11 @@ class TestProjection:
         A = M @ M.T
         w = np.linalg.eigvalsh(kron_sum_dense(proj_ksum_dense(A, dims)))
         assert w.min() >= -1e-8 * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (36,)])
+    def test_shape_check(self, shape):
+        with pytest.raises(ValueError, match=r"expected 6x6 matrix"):
+            proj_ksum_dense(np.ones(shape), Dims([2, 3]))
 
 
 class TestProjInverseSpectrum:
@@ -336,6 +371,12 @@ class TestOffdiagL1:
         f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])
         with pytest.raises(ValueError):
             offdiag_l1(f, [-1.0, 1.0])
+
+    @pytest.mark.parametrize("rho", [[1.0], [1.0, 1.0, 1.0], 1.0])
+    def test_rho_length(self, rho):
+        f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="length 2"):
+            offdiag_l1(f, rho)
 
 
 class TestSerialization:

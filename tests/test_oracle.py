@@ -3,8 +3,9 @@ import functools
 import numpy as np
 import pytest
 
+import teralasso.oracle
 from teralasso.data import gram_factors, sample_ksum_gaussian
-from teralasso.ksum import Dims, FactorSet, kron_sum_dense, proj_ksum_dense
+from teralasso.ksum import DenseLimitError, Dims, FactorSet, kron_sum_dense, proj_ksum_dense
 from teralasso.oracle import (
     DenseProblem,
     basis_projection,
@@ -32,11 +33,30 @@ class TestDenseProblem:
             DenseProblem(dims, -np.eye(4), np.zeros(2))
         with pytest.raises(ValueError, match="length"):
             DenseProblem(dims, np.eye(4), np.zeros(3))
+        with pytest.raises(ValueError, match="s_hat must be 4x4"):
+            DenseProblem(dims, np.eye(3), np.zeros(2))
 
     def test_size_limit(self):
         dims = Dims([32, 32])
         with pytest.raises(ValueError, match="limited"):
             dense_objective(np.eye(dims.p), DenseProblem(dims, np.eye(dims.p), np.zeros(2)))
+
+    @pytest.mark.parametrize(
+        "run, d, limit",
+        [
+            (lambda prob: dense_objective(np.eye(prob.dims.p), prob), [8, 9], 64),
+            (lambda prob: basis_projection(prob.s_hat, prob.dims), [8, 9], 64),
+            (lambda prob: rearrange_rk(prob.s_hat, prob.dims, 0), [8, 9], 64),
+            (lambda prob: dense_solver(prob), [7, 7], 36),
+        ],
+        ids=["objective", "basis-projection", "rearrangement", "solver"],
+    )
+    def test_one_dense_guard(self, run, d, limit):
+        # every dense path raises the one DenseLimitError, each at its own limit
+        dims = Dims(d)
+        prob = DenseProblem(dims, np.eye(dims.p), np.zeros(2))
+        with pytest.raises(DenseLimitError, match=f"limited to p <= {limit}, got p={dims.p}"):
+            run(prob)
 
 
 class TestDenseObjective:
@@ -145,6 +165,25 @@ class TestDenseSolver:
             omega, converged = dense_solver(prob, max_iter=500)
             assert converged
             assert np.linalg.eigvalsh(omega).min() > 0
+
+    def test_capped_solve_is_not_converged(self):
+        prob = small_problem(0.1)[2]
+        omega, converged = dense_solver(prob, max_iter=2)
+        assert not converged
+        assert np.linalg.eigvalsh(omega).min() > 0
+
+    def test_safe_step_fallback_converges(self, monkeypatch):
+        # with no halvings every step is the safe 0.5 * lambda_min^2 one; a
+        # well-conditioned S_hat keeps those steps long
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((9, 27))
+        prob = DenseProblem(Dims([3, 3]), M @ M.T / 27, np.full(2, 0.1))
+        ref, _ = dense_solver(prob)
+        monkeypatch.setattr(teralasso.oracle, "_MAX_HALVINGS", 0)
+        omega, converged = dense_solver(prob)
+        assert converged
+        assert np.linalg.eigvalsh(omega).min() > 0
+        np.testing.assert_allclose(omega, ref, atol=1e-6)
 
 
 class TestRearrangement:

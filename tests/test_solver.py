@@ -220,6 +220,17 @@ class TestStepAndLineSearch:
             kron_sum_dense(new), kron_sum_dense(f), atol=1e-12
         )
 
+    @pytest.mark.parametrize("zeta", [0.0, -0.5])
+    def test_nonpositive_stepsize_rejected(self, zeta):
+        dims = Dims([2, 2])
+        g = identity_gram(dims)
+        f = FactorSet.identity(dims).scale(0.5)
+        grad = subspace_gradient(f, g)
+        with pytest.raises(ValueError, match="zeta must be positive"):
+            ista_step(f, grad, [0.0, 0.0], zeta)
+        with pytest.raises(ValueError, match="zeta_start must be positive"):
+            line_search(f, g, grad, [0.0, 0.0], zeta, objective(f, g, [0.0, 0.0]))
+
     def test_quad_model_at_base(self):
         dims = Dims([2, 3])
         truth, g = random_problem(dims, n=4, seed=5)
@@ -404,9 +415,8 @@ class TestKkt:
     def test_zero_at_unpenalized_optimum(self):
         dims = Dims([3, 2])
         f = FactorSet.identity(dims)
-        assert kkt_residual(f, identity_gram(dims), [0.0, 0.0]) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        grad = subspace_gradient(f, identity_gram(dims))
+        assert kkt_residual(f, [0.0, 0.0], grad) == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_shift_invariant(self):
         dims = Dims([3, 3])
@@ -415,14 +425,14 @@ class TestKkt:
             dims, [truth.psi[0] + 0.3 * np.eye(3), truth.psi[1] - 0.3 * np.eye(3)]
         )
         rho = [0.05, 0.08]
-        assert kkt_residual(truth, g, rho) == pytest.approx(
-            kkt_residual(shifted, g, rho), abs=1e-9
+        assert kkt_residual(truth, rho, subspace_gradient(truth, g)) == pytest.approx(
+            kkt_residual(shifted, rho, subspace_gradient(shifted, g)), abs=1e-9
         )
 
     def test_positive_away_from_optimum(self):
         dims = Dims([3, 2])
         f = FactorSet(dims, [np.eye(3), np.eye(2)])  # Omega = 2I, not optimal
-        assert kkt_residual(f, identity_gram(dims), [0.0, 0.0]) > 0.1
+        assert kkt_residual(f, [0.0, 0.0], subspace_gradient(f, identity_gram(dims))) > 0.1
 
 
 class TestSolve:
@@ -520,7 +530,8 @@ class TestSolve:
         truth, g = random_problem(dims, n=6, seed=16)
         cfg = SolverConfig(rho_bar=0.1, max_iter=40)
         est, report = solve(g, config=cfg)
-        assert report.final_kkt == kkt_residual(est, g, resolve_rho(cfg, dims, g.n))
+        fresh = subspace_gradient(est, g)
+        assert report.final_kkt == kkt_residual(est, resolve_rho(cfg, dims, g.n), fresh)
 
     def test_one_grid_per_pd_attempt(self, monkeypatch):
         # every eigenvalue-sum grid of a solve belongs to the start point or to
@@ -555,7 +566,8 @@ class TestSolve:
         est, report = solve(g, config=cfg)
         assert report.termination != "max-iter"
         assert report.final_kkt < cfg.tol_kkt
-        assert kkt_residual(est, g, resolve_rho(cfg, dims, g.n)) < cfg.tol_kkt
+        rho = resolve_rho(cfg, dims, g.n)
+        assert kkt_residual(est, rho, subspace_gradient(est, g)) < cfg.tol_kkt
 
     def test_solve_holds_no_grid(self):
         # the log-det and gradient walk the eigenvalue-sum grid in slabs, so a
