@@ -50,9 +50,9 @@ def _resolve(args, config):
     A config value is read as its flag's text would be (a list as
     comma-separated items) and kept as written when it equals that reading,
     so ``1`` stays ``1`` in manifests and CSVs.  A config key the command
-    does not read is an error.
+    does not read is an error, and so is a required key that neither gives.
     """
-    params = COMMANDS[args.command][2]
+    _, required, params = COMMANDS[args.command]
     unknown = sorted(set(config) - set(params))
     if unknown:
         raise ValueError(f"{args.command}: unknown config key {', '.join(map(repr, unknown))}")
@@ -63,6 +63,9 @@ def _resolve(args, config):
             val = _read_config_value(args.command, key, conv, config[key])
         if val is not None:
             out[key] = val
+    for key in required:
+        if key not in out:
+            raise ValueError(f"{args.command}: missing required parameter '{key}'")
     return out
 
 
@@ -118,15 +121,7 @@ def _spec_from(command: str, resolved: dict) -> ExperimentSpec:
     return spec
 
 
-def _require(command, resolved, *keys):
-    for key in keys:
-        if key not in resolved:
-            raise ValueError(f"{command}: missing required parameter '{key}'")
-
-
-def cmd_generate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config))
-    _require("generate", resolved, "dims", "n")
+def cmd_generate(args, resolved) -> int:
     spec = _spec_from("generate", resolved)
     seed = check_seed(spec.seed)
     n = resolved["n"]
@@ -141,9 +136,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config))
-    _require("estimate", resolved, "data")
+def cmd_estimate(args, resolved) -> int:
     resolved.setdefault("rho-bar", 0.01)
     cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
     for f in fields(cfg):
@@ -166,9 +159,7 @@ def cmd_estimate(args) -> int:
     return 2 if report.termination == "max-iter" else 0
 
 
-def cmd_evaluate(args) -> int:
-    resolved = _resolve(args, _load_config(args.config))
-    _require("evaluate", resolved, "truth", "estimate")
+def cmd_evaluate(args, resolved) -> int:
     try:
         truth, est = (FactorSet.from_json(Path(resolved[key]).read_text())
                       for key in ("truth", "estimate"))
@@ -185,9 +176,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    resolved = _resolve(args, _load_config(args.config))
-    _require("sweep", resolved, "dims")
+def cmd_sweep(args, resolved) -> int:
     kind = resolved.setdefault("kind", "rate")
     if kind != "tuning" and "rho-ratios" in resolved:
         raise ValueError(f"sweep: kind {kind} does not read 'rho-ratios'; kind tuning does")
@@ -208,11 +197,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args, resolved) -> int:
     # imported here, so the other commands do not pay for the oracles
     from .selfcheck import run_selfcheck
 
-    resolved = _resolve(args, _load_config(args.config))
     results = run_selfcheck(seed=check_seed(resolved.get("seed", 0)))
     failed = [name for name, _, _, ok in results if not ok]
     for name, value, tol, ok in results:
@@ -234,21 +222,22 @@ def _float_list(text):
 
 _TRUTH_MODEL = {"model": MODELS, "dims": _int_list, "edges": _int_list, "ar-coeff": float}
 
-# Each command's parameters, spelled as config keys (``rho-bar``), with the
-# converter that reads the flag ``--rho-bar`` and the config value alike, or
-# the tuple of allowed values.  ``rho-ratios`` is read from config files only.
+# Each command's help line, its required keys and its parameters, spelled as
+# config keys (``rho-bar``), with the converter that reads the flag
+# ``--rho-bar`` and the config value alike, or the tuple of allowed values.
+# ``rho-ratios`` is read from config files only.  ``main`` runs ``cmd_<name>``.
 COMMANDS = {
-    "generate": (cmd_generate, "generate truth factors and samples",
+    "generate": ("generate truth factors and samples", ("dims", "n"),
                  {"seed": int, **_TRUTH_MODEL, "n": int}),
-    "estimate": (cmd_estimate, "fit factors to a .ktns data file",
+    "estimate": ("fit factors to a .ktns data file", ("data",),
                  {"data": str, "rho-bar": float, "max-iter": int, "tol-kkt": float}),
-    "evaluate": (cmd_evaluate, "compare truth and estimated factors",
+    "evaluate": ("compare truth and estimated factors", ("truth", "estimate"),
                  {"truth": str, "estimate": str}),
-    "sweep": (cmd_sweep, "run an experiment sweep to CSV",
+    "sweep": ("run an experiment sweep to CSV", ("dims",),
               {"seed": int, "kind": ("rate", "support", "tuning"), **_TRUTH_MODEL, "n": _int_list,
                "rho-grid": _float_list, "rho-ratios": _float_list, "trials": int,
                "max-iter": int, "threads": int}),  # --threads: accepted and ignored
-    "selfcheck": (cmd_selfcheck, "run the oracle cross-check battery", {"seed": int}),
+    "selfcheck": ("run the oracle cross-check battery", (), {"seed": int}),
 }
 _CONFIG_ONLY = ("rho-ratios",)
 
@@ -265,7 +254,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teralasso")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (fn, help_text, params) in COMMANDS.items():
+    for command, (help_text, _, params) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         if command != "selfcheck":
@@ -274,19 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
             if key not in _CONFIG_ONLY:
                 kind = "choices" if isinstance(conv, tuple) else "type"
                 p.add_argument(f"--{key}", **{kind: conv})
-        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as exc:
+        resolved = _resolve(args, _load_config(args.config))
+        # looked up when it runs, so a rebound cmd_<name> is the one that runs
+        return globals()[f"cmd_{args.command}"](args, resolved)
+    except (OSError, ValueError) as exc:
         # bad input, found by the CLI or below it (invalid dims, too many
-        # edges, negative rho, a non-PD truth): one line and exit 1, never a
-        # traceback
+        # edges, negative rho, a non-PD truth), or an unusable path: one line
+        # and exit 1, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ksum import Dims, FactorSet, _check_pd, eigsum_grid
+from .ksum import Dims, FactorSet, _check_pd, _index, eigsum_grid
 
 __all__ = [
     "DataTensorSet",
@@ -135,9 +135,13 @@ def check_seed(seed: int) -> int:
     """Return ``seed`` as an int if it is a signed 64-bit integer, else raise.
 
     Philox takes its key from the seed; larger seeds overflow, or round
-    through float64 so that neighbouring seeds draw the same data.
+    through float64 so that neighbouring seeds draw the same data.  A seed is
+    read by the integer rule of ``Dims``: 1.7, "22" and True are not seeds.
     """
-    seed = int(seed)
+    try:
+        seed = _index(seed)
+    except TypeError:
+        raise ValueError(f"seed {seed!r} is not an integer") from None
     if not -(2**63) <= seed < 2**63:
         raise ValueError(f"seed {seed} is outside the signed 64-bit range")
     return seed

@@ -43,6 +43,8 @@ _DENSE_LIMIT = 4096
 # slab buffers fit in a core's L2 cache.  A grid of at most one slab is held
 # whole instead, as it costs no more than the slab buffers.
 _SLAB = 2**16
+# a factor entry beyond it could overflow M - M.T or M + M.T in _symmetrize
+_HALF_MAX = np.finfo(float).max / 2
 
 
 class DenseLimitError(ValueError):
@@ -113,6 +115,8 @@ def _symmetrize(M: np.ndarray, k: int) -> np.ndarray:
     if not np.isfinite(M).all():  # before M - M.T, which warns on an Inf
         raise ValueError(f"factor {k} has non-finite entries")
     scale = np.abs(M).max() if M.size else 0.0
+    if scale > _HALF_MAX:
+        raise ValueError(f"factor {k} has entries beyond half the largest float")
     if scale and np.abs(M - M.T).max() > 1e-8 * max(scale, 1.0):
         raise ValueError(f"factor {k} is not symmetric within tolerance")
     return 0.5 * (M + M.T)

@@ -58,3 +58,23 @@ def test_tracer_sees_solver_layers(tmp_path):
         assert np.isfinite(metrics[name]) and metrics[name] > 0, name
     assert teralasso.solver.solve is original
     assert teralasso.solve is original and teralasso.metrics.solve is original
+
+
+def test_tracer_sees_cli_commands(tmp_path):
+    # main looks each command up when it runs, so the tracer's cli.cmd_* wrappers time it
+    tracer = Tracer(teralasso)
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [teralasso.cli.main(argv) for argv in (
+                ["generate", "--dims", "4,4", "--n", "6", "--out", str(tmp_path)],
+                ["estimate", "--data", str(tmp_path / "samples.ktns"), "--out", str(tmp_path)],
+                ["evaluate", "--truth", str(tmp_path / "truth.json"),
+                 "--estimate", str(tmp_path / "estimate.json"), "--out", str(tmp_path)],
+            )]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    metrics = tracer.metrics(rounds=1, startup_ms=0.0)
+    for name in ("cli.generate.ms", "cli.estimate.ms", "cli.evaluate.ms"):
+        assert metrics[name] > 0, name

@@ -291,6 +291,9 @@ class TestBadInput:
             ["generate", "--dims", "4,4", "--n", "2", "--config", "{missing}"],
             ["generate", "--dims", "4,4", "--n", "2", "--config", "{malformed}"],
             ["generate", "--dims", "4,4", "--n", "2", "--config", "{configlist}"],
+            # an output path that cannot be a directory
+            ["generate", "--dims", "3,3", "--n", "2", "--out", "{truth}/sub"],
+            ["generate", "--dims", "3,3", "--n", "2", "--out", "{truth}"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -302,7 +305,8 @@ class TestBadInput:
              "header-not-object", "header-no-dims", "header-n-zero", "nan-rho",
              "overflow-rho", "config-rho-grid-overflow", "header-n-bool", "header-dims-float",
              "truth-dims-float", "negative-edges", "rho-ratios-off-tuning", "ar1-edges",
-             "er-ar-coeff", "config-missing", "config-malformed", "config-not-object"],
+             "er-ar-coeff", "config-missing", "config-malformed", "config-not-object",
+             "out-under-file", "out-is-file"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -352,7 +356,8 @@ class TestBadInput:
             files[name] = tmp_path / f"{name}.ktns"
             files[name].write_bytes(header + b"\n" + bytes(128))
         argv = [a.format(**files) for a in argv]
-        if argv[0] != "selfcheck":  # selfcheck writes no files and takes no --out
+        # selfcheck writes no files and takes no --out
+        if argv[0] != "selfcheck" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out")]
         proc = run_subprocess(argv)
         assert proc.returncode == 1

@@ -230,7 +230,10 @@ class TestSampler:
     @pytest.mark.parametrize(
         "n, seed, match",
         [(-2, 0, "n must be"), (0, 0, "n must be"), (1, 2**64, "seed 18446744073709551616"),
-         (1, 2**63, "seed"), (1, -(2**63) - 1, "seed")],
+         (1, 2**63, "seed"), (1, -(2**63) - 1, "seed"),
+         # int() would read these as seeds 1, 22 and 1
+         (1, 1.7, "seed 1.7 is not an integer"), (1, "22", "seed '22' is not an integer"),
+         (1, True, "seed True is not an integer")],
     )
     def test_rejects_bad_count_and_seed(self, n, seed, match):
         f = FactorSet(Dims([2, 2]), [np.eye(2), np.eye(2)])

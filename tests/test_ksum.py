@@ -124,13 +124,27 @@ class TestEigensystem:
             # rejected before M - M.T, which warns on an Inf
             ([np.diag([np.inf, 1.0]), np.eye(2)], "factor 0 has non-finite entries"),
             ([np.array([[1.0, -np.inf], [-np.inf, 1.0]]), np.eye(2)], "factor 0 has non-finite"),
+            # finite, but M + M.T would overflow
+            ([np.full((2, 2), 1e308), np.eye(2)], "factor 0 has entries beyond half the largest"),
         ],
         ids=["too-few", "too-many", "wrong-shape", "non-square", "one-dim", "nan-entry",
-             "inf-entry", "inf-offdiag"],
+             "inf-entry", "inf-offdiag", "symmetrize-overflow"],
     )
     def test_factor_set_rejects(self, psi, needle):
         with pytest.raises(ValueError, match=needle):
             FactorSet(Dims([2, 2]), psi)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 4.0])
+    def test_symmetry_tolerance_boundary(self, scale):
+        # |M - M.T| may reach 1e-8 * max(max |M|, 1), not pass it
+        tol = 1e-8 * max(scale, 1.0)
+        for gap, ok in ((tol, True), (np.nextafter(tol, 1.0), False)):
+            M = np.array([[scale, 0.0], [gap, 0.0]])
+            if ok:
+                assert FactorSet(Dims([2, 2]), [M, np.eye(2)]).psi[0][0, 1] == gap / 2
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    FactorSet(Dims([2, 2]), [M, np.eye(2)])
 
 
 class TestLogdet:

@@ -62,6 +62,16 @@ class TestEdgeSupport:
         assert pairs(edge_support(f).edges[0]) == set()
         assert pairs(edge_support(f, eps=1e-13).edges[0]) == {(0, 1)}
 
+    def test_default_threshold_boundary(self):
+        # an edge is |psi_ij| > 1e-8, strictly, in either sign
+        above = np.nextafter(1e-8, 1.0)
+        psi = np.eye(3)
+        psi[0, 1] = psi[1, 0] = 1e-8
+        psi[0, 2] = psi[2, 0] = -above
+        psi[1, 2] = psi[2, 1] = -1e-8
+        f = FactorSet(Dims([3, 2]), [psi, np.eye(2)])
+        assert pairs(edge_support(f).edges[0]) == {(0, 2)}
+
 
 class TestMcc:
     def test_perfect(self):
@@ -256,6 +266,14 @@ class TestExperiments:
         assert len(rows) == 1
         assert set(rows[0]) == {"p", "K", "n", "rho_bar", "precision", "recall", "mcc"}
         assert -1.0 <= rows[0]["mcc"] <= 1.0
+
+    @pytest.mark.parametrize("rho_grid", [(1e3, 1e4), (1e4, 1e3)])
+    def test_support_keeps_the_first_of_tied_cells(self, rho_grid):
+        # both penalties leave every estimate diagonal, so the cells tie on MCC
+        spec = ExperimentSpec(model="er", dims=Dims([3, 3]), edges=(2, 2), n_list=(5,),
+                              rho_grid=rho_grid, trials=1, seed=3, max_iter=20)
+        (row,) = run_support_experiment(spec)
+        assert row["mcc"] == 0.0 and row["rho_bar"] == rho_grid[0]
 
     def test_each_trial_draws_data_once(self, monkeypatch):
         # one sample per (n, trial), shared by every solve of the rho grid

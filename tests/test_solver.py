@@ -121,6 +121,11 @@ class TestResolveRho:
             rho, [2.0 * np.sqrt(logp / (5 * 8)), 0.5 * np.sqrt(logp / (5 * 4))]
         )
 
+    def test_p_one_reads_log_p_as_one(self):
+        # log 1 = 0 would zero the penalty; the rule reads log p as 1 there
+        rho = resolve_rho(SolverConfig(rho_bar=1.0), Dims([1]), n=4)
+        np.testing.assert_array_equal(rho, [0.5])
+
     @pytest.mark.parametrize("rho_bar", [(0.3,), (0.3, 0.7, 0.1)], ids=["1-tuple", "3-tuple"])
     def test_per_factor_length_checked(self, rho_bar):
         # a tuple of the wrong length, a 1-tuple included, never broadcasts
