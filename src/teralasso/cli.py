@@ -93,6 +93,8 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict):
 
 
 def _out_dir(args) -> Path:
+    """The run's output directory, made before the run's work, so an unusable
+    path fails at once."""
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -125,9 +127,9 @@ def cmd_generate(args, resolved) -> int:
     spec = _spec_from("generate", resolved)
     seed = check_seed(spec.seed)
     n = resolved["n"]
+    out = _out_dir(args)
     truth = make_truth(spec, seed)
     data = sample_ksum_gaussian(truth, n, seed)
-    out = _out_dir(args)
     with open(out / "truth.json", "w") as fh:
         fh.write(truth.to_json() + "\n")
     write_ktns(out / "samples.ktns", data)
@@ -141,12 +143,12 @@ def cmd_estimate(args, resolved) -> int:
     cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
     for f in fields(cfg):
         resolved.setdefault(f.name.replace("_", "-"), getattr(cfg, f.name))
+    out = _out_dir(args)
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read data file: {exc}")
     est, report = solve(gram_factors(data), n=data.n, config=cfg)
-    out = _out_dir(args)
     with open(out / "estimate.json", "w") as fh:
         fh.write(est.to_json() + "\n")
     with open(out / "report.json", "w") as fh:
@@ -160,6 +162,7 @@ def cmd_estimate(args, resolved) -> int:
 
 
 def cmd_evaluate(args, resolved) -> int:
+    out = _out_dir(args)
     try:
         truth, est = (FactorSet.from_json(Path(resolved[key]).read_text())
                       for key in ("truth", "estimate"))
@@ -167,7 +170,6 @@ def cmd_evaluate(args, resolved) -> int:
         raise ValueError(f"cannot read factor file: {exc}")
     errs = estimation_errors(truth, est)
     errs["mcc"] = mcc(edge_support(truth), edge_support(est))
-    out = _out_dir(args)
     with open(out / "metrics.json", "w") as fh:
         json.dump(errs, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -184,13 +186,13 @@ def cmd_sweep(args, resolved) -> int:
     # reproducibility manifest so manifests match whatever value is passed
     resolved.pop("threads", None)
     spec = _spec_from("sweep", resolved)
+    out = _out_dir(args)
     if kind == "rate":
         rows = run_rate_experiment(spec)
     elif kind == "support":
         rows = run_support_experiment(spec)
     else:
         rows = tuning_sweep(spec, rho_ratios=tuple(resolved.setdefault("rho-ratios", [1.0])))
-    out = _out_dir(args)
     write_table(rows, out / f"{kind}.csv")
     _write_manifest(out, "sweep", resolved)
     print(f"sweep kind={kind} rows={len(rows)}")

@@ -227,10 +227,12 @@ def kron_sum_dense(f: FactorSet) -> np.ndarray:
     dims = f.dims
     _check_dense(dims.p)
     out = np.zeros((dims.p, dims.p))
-    for k, psi in enumerate(f.psi):
-        pre = int(np.prod(dims.d[:k], initial=1))
-        post = int(np.prod(dims.d[k + 1 :], initial=1))
-        out += np.kron(np.kron(np.eye(pre), psi), np.eye(post))
+    for k, (dk, psi) in enumerate(zip(dims.d, f.psi)):
+        pre, post = math.prod(dims.d[:k]), math.prod(dims.d[k + 1 :])
+        # I_pre x Psi_k x I_post as one broadcast product: its entries are
+        # Psi_k * 1 * 1 or zero, as np.kron's are, added in the same order
+        term = np.eye(pre)[:, None, None, :, None, None] * psi[:, None, None, :, None]
+        out.reshape(pre, dk, post, pre, dk, post)[...] += term * np.eye(post)[:, None, None, :]
     return out
 
 
@@ -338,6 +340,11 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims) -> FactorSet:
     if A.shape != (p, p):
         raise ValueError(f"expected {p}x{p} matrix, got {A.shape}")
     _check_dense(p)
+    # NaN fails it too; under this bound no sum below overflows, so the
+    # factors are finite and within FactorSet's range
+    bound = _HALF_MAX / p
+    if not np.abs(A).max() <= bound:
+        raise ValueError(f"matrix to project has non-finite entries or entries beyond {bound:.3g}")
     K = dims.K
     shift = (K - 1) / K * (np.trace(A) / p)
     T = A.reshape(dims.d + dims.d)
@@ -349,7 +356,8 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims) -> FactorSet:
         Ak = Tk.reshape(dims.d[k], dims.d[k], mk, mk)
         Ak = np.einsum("rsii->rs", Ak) / mk
         factors.append(0.5 * (Ak + Ak.T) - shift * np.eye(dims.d[k]))
-    return FactorSet(dims, factors)
+    # exactly symmetric by construction, so nothing left to validate
+    return FactorSet._trusted(dims, factors)
 
 
 def proj_inverse_spectrum(s: SpectrumSet) -> FactorSet:

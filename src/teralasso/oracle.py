@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -163,7 +164,8 @@ def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem
         shrink_offdiag(f.psi[k] - zeta * grad.psi[k], zeta * problem.rho[k])
         for k in range(problem.dims.K)
     ]
-    new_f = FactorSet(problem.dims, psi)
+    # sums and scalings of validated factors, as in the fast ista_step
+    new_f = FactorSet._trusted(problem.dims, psi)
     omega = kron_sum_dense(new_f)
     return new_f, omega, np.linalg.eigvalsh(omega)
 
@@ -182,9 +184,15 @@ def _dense_kkt(omega: np.ndarray, problem: DenseProblem, grad: FactorSet) -> flo
             resid = max(resid, float(np.abs(G[nz] + problem.rho[k] * np.sign(P[nz])).max()))
         if z.any():
             resid = max(resid, max(0.0, float(np.abs(G[z]).max()) - problem.rho[k]))
-    diag_grad = np.diag(kron_sum_dense(grad))
-    resid = max(resid, float(np.abs(diag_grad).max()))
+    resid = max(resid, float(np.abs(_kron_sum_diag(grad)).max()))
     return resid
+
+
+def _kron_sum_diag(f: FactorSet) -> np.ndarray:
+    """The diagonal of the dense Kronecker sum, without forming it: the outer
+    sum of the factor diagonals, added in mode order as :func:`kron_sum_dense`
+    adds them."""
+    return reduce(np.add.outer, [np.diag(m) for m in f.psi]).ravel()
 
 
 def rearrange_rk(A: np.ndarray, dims: Dims, k: int) -> np.ndarray:

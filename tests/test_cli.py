@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import teralasso
+import teralasso.cli
 import teralasso.selfcheck
 from teralasso.cli import main
 from teralasso.data import read_ktns, write_ktns
@@ -228,6 +229,21 @@ class TestSweep:
             ) == 0
             outs.append((out / "rate.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_unusable_out_fails_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # the output directory is made before the work, so a path under a
+        # file fails at once, not after the whole sweep has run
+        def no_sweep(spec):
+            raise AssertionError("the sweep ran before its --out was checked")
+
+        monkeypatch.setattr(teralasso.cli, "run_support_experiment", no_sweep)
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+        code = run(["sweep", "--kind", "support", "--dims", "4,4", "--n", "2",
+                    "--rho-grid", "0.1", "--trials", "1", "--out", str(blocker / "sub")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_kind_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from unittest import mock
@@ -77,6 +78,17 @@ class TestKronSumDense:
         B = np.diag([1.0, 2.0, 3.0])
         D = kron_sum_dense(FactorSet(Dims([2, 3]), [A, B]))
         np.testing.assert_allclose(np.diag(D), [11, 12, 13, 21, 22, 23])
+
+    @pytest.mark.parametrize("d", [[1], [5], [2, 3], [3, 1, 4], [2, 2, 2, 2]])
+    def test_bitwise_equal_to_kron_definition(self, d):
+        # the broadcast build adds the same entries in the same mode order as
+        # sum_k I_pre (x) Psi_k (x) I_post written with np.kron
+        f = random_factors(Dims(d), np.random.default_rng(sum(d)))
+        ref = np.zeros((f.dims.p, f.dims.p))
+        eye = [np.eye(dl) for dl in d]
+        for k, psi in enumerate(f.psi):
+            ref += functools.reduce(np.kron, eye[:k] + [psi] + eye[k + 1 :])
+        assert np.array_equal(kron_sum_dense(f), ref)
 
 
 class TestEigensystem:
@@ -239,6 +251,24 @@ class TestProjection:
     def test_shape_check(self, shape):
         with pytest.raises(ValueError, match=r"expected 6x6 matrix"):
             proj_ksum_dense(np.ones(shape), Dims([2, 3]))
+
+    def test_factors_exactly_symmetric(self):
+        # the projection returns its factors unvalidated, as they are
+        # symmetric by construction
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((12, 12))
+        for m in proj_ksum_dense(A, Dims([2, 3, 2])).psi:
+            assert np.array_equal(m, m.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 5)], ids=["diagonal", "outside-blocks"])
+    def test_rejects_non_finite(self, bad, where):
+        # (0, 5) on [2, 3] differs in both modes, so no factor reads it; a
+        # finite 1e308 would overflow the trace or a block sum
+        A = np.eye(6)
+        A[where] = A[where[::-1]] = bad
+        with pytest.raises(ValueError, match="matrix to project has non-finite entries or "):
+            proj_ksum_dense(A, Dims([2, 3]))
 
 
 class TestProjInverseSpectrum:

@@ -172,6 +172,16 @@ class TestDenseSolver:
         assert not converged
         assert np.linalg.eigvalsh(omega).min() > 0
 
+    @pytest.mark.parametrize("d", [[5], [1, 3], [3, 3, 4], [6, 6], [2, 2, 2, 2]])
+    def test_kkt_diagonal_is_dense_diagonal(self, d):
+        # the KKT test reads the gradient's diagonal from its factors, bit for
+        # bit the diagonal of its dense Kronecker sum
+        dims = Dims(d)
+        rng = np.random.default_rng(len(d))
+        A = rng.standard_normal((dims.p, dims.p))
+        grad = proj_ksum_dense(A + A.T, dims)
+        assert np.array_equal(teralasso.oracle._kron_sum_diag(grad), np.diag(kron_sum_dense(grad)))
+
     def test_safe_step_fallback_converges(self, monkeypatch):
         # with no halvings every step is the safe 0.5 * lambda_min^2 one; a
         # well-conditioned S_hat keeps those steps long

@@ -285,6 +285,24 @@ class TestStepAndLineSearch:
         assert (got_zeta, bts) == (zeta, 0)
         assert got_total == pytest.approx(cand_total, rel=1e-12) and got_total > base_total
 
+    def test_sufficient_decrease_rejects_a_bare_reference(self, monkeypatch):
+        # a reference above F(cand) by half the required decrease
+        # sigma / (2 zeta) <delta, delta>: the first attempt falls short at
+        # sigma = 1e-4 and passes at sigma = 0
+        dims = Dims([2, 3])
+        g = identity_gram(dims)
+        f = FactorSet.identity(dims).scale(0.5)
+        grad = subspace_gradient(f, g)
+        rho, zeta = [0.0, 0.0], 0.1
+        cand = ista_step(f, grad, rho, zeta)
+        delta = cand - f
+        decrease = 1e-4 / (2 * zeta) * ksum_inner(delta, delta)
+        ref_total = objective(cand, g, rho) + 0.5 * decrease
+        assert 0.5 * decrease > 1e3 * 1e-12 * (abs(ref_total) + 1.0)  # far above the slack
+        assert line_search(f, g, grad, rho, zeta, ref_total)[4] > 0
+        monkeypatch.setattr(teralasso.solver, "_SIGMA", 0.0)
+        assert line_search(f, g, grad, rho, zeta, ref_total)[4] == 0
+
     def test_safe_step_fallback(self, monkeypatch):
         # zero backtracks forces an immediate fall-through to the safe step
         # min(a, min eig of the iterate)^2, which must always be accepted
@@ -442,13 +460,14 @@ class TestKkt:
 
 class TestSolve:
     def test_trivial_identity_fixed_point(self):
-        # with every S_k = I and no penalty, Omega = I is optimal and the
-        # solver stops within a couple of iterations
+        # with every S_k = I and no penalty, Omega = I is optimal from the
+        # start; the KKT stop is gated to run from the third iteration on
         dims = Dims([2, 3])
         est, report = solve(identity_gram(dims), config=SolverConfig(rho_bar=0.0))
         np.testing.assert_allclose(kron_sum_dense(est), np.eye(dims.p), atol=1e-8)
         assert report.termination in ("objective-tol", "kkt-tol")
         assert report.final_kkt < 1e-6
+        assert report.iterations == 3
 
     def test_nonmonotone_descent(self):
         # each objective stays under the largest of the last five accepted, so
