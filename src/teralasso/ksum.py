@@ -229,10 +229,10 @@ def kron_sum_dense(f: FactorSet) -> np.ndarray:
     out = np.zeros((dims.p, dims.p))
     for k, (dk, psi) in enumerate(zip(dims.d, f.psi)):
         pre, post = math.prod(dims.d[:k]), math.prod(dims.d[k + 1 :])
-        # I_pre x Psi_k x I_post as one broadcast product: its entries are
-        # Psi_k * 1 * 1 or zero, as np.kron's are, added in the same order
-        term = np.eye(pre)[:, None, None, :, None, None] * psi[:, None, None, :, None]
-        out.reshape(pre, dk, post, pre, dk, post)[...] += term * np.eye(post)[:, None, None, :]
+        # I_pre x Psi_k x I_post is Psi_k on the block diagonal, zero elsewhere:
+        # add Psi_k in place through the writable view (a,i,b,j) -> (a,i,b,a,j,b)
+        view = np.einsum("aibajb->aibj", out.reshape(pre, dk, post, pre, dk, post))
+        view += psi[:, None, :]
     return out
 
 
@@ -347,15 +347,14 @@ def proj_ksum_dense(A: np.ndarray, dims: Dims) -> FactorSet:
         raise ValueError(f"matrix to project has non-finite entries or entries beyond {bound:.3g}")
     K = dims.K
     shift = (K - 1) / K * (np.trace(A) / p)
-    T = A.reshape(dims.d + dims.d)
     factors = []
-    for k in range(K):
-        # average over matched complement indices of the (d_k, d_k) blocks
-        Tk = np.moveaxis(T, (k, K + k), (0, 1))
-        mk = dims.m(k)
-        Ak = Tk.reshape(dims.d[k], dims.d[k], mk, mk)
-        Ak = np.einsum("rsii->rs", Ak) / mk
-        factors.append(0.5 * (Ak + Ak.T) - shift * np.eye(dims.d[k]))
+    for k, dk in enumerate(dims.d):
+        # average over matched complement indices (a, b) of the (d_k, d_k) blocks
+        pre, post = math.prod(dims.d[:k]), math.prod(dims.d[k + 1 :])
+        Ak = np.einsum("aibajb->ij", A.reshape(pre, dk, post, pre, dk, post)) / (pre * post)
+        Ak = 0.5 * (Ak + Ak.T)
+        Ak.flat[:: dk + 1] -= shift
+        factors.append(Ak)
     # exactly symmetric by construction, so nothing left to validate
     return FactorSet._trusted(dims, factors)
 

@@ -39,13 +39,18 @@ class DenseProblem:
         p = dims.p
         if s_hat.shape != (p, p):
             raise ValueError(f"s_hat must be {p}x{p}")
+        if rho.shape != (dims.K,):
+            raise ValueError(f"rho must have length {dims.K}")
+        # before any arithmetic on them: a NaN passes every comparison below
+        if not np.isfinite(s_hat).all():
+            raise ValueError("s_hat has non-finite entries")
+        if not (np.isfinite(rho).all() and (rho >= 0).all()):
+            raise ValueError("rho must be finite and nonnegative")
         if np.abs(s_hat - s_hat.T).max() > 1e-10 * max(np.abs(s_hat).max(), 1.0):
             raise ValueError("s_hat must be symmetric")
         w = np.linalg.eigvalsh(0.5 * (s_hat + s_hat.T))
         if w.min() < -1e-10 * max(abs(w).max(), 1.0):
             raise ValueError("s_hat must be positive semidefinite")
-        if rho.shape != (dims.K,):
-            raise ValueError(f"rho must have length {dims.K}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "s_hat", s_hat)
         object.__setattr__(self, "rho", rho)
@@ -70,12 +75,12 @@ def dense_objective(omega: np.ndarray, problem: DenseProblem) -> float:
     for k, psi in enumerate(f.psi):
         off = np.abs(psi).sum() - np.abs(np.diag(psi)).sum()
         penalty += problem.rho[k] * problem.dims.m(k) * off
-    return _dense_smooth(omega, w, problem) + penalty
+    return _dense_smooth(omega, np.log(w).sum(), problem) + penalty
 
 
-def _dense_smooth(omega: np.ndarray, w: np.ndarray, problem: DenseProblem) -> float:
-    """-log det Omega + <S_hat, Omega>, given the eigenvalues ``w`` of Omega."""
-    return float(-np.log(w).sum() + np.sum(problem.s_hat * omega))
+def _dense_smooth(omega: np.ndarray, logdet: float, problem: DenseProblem) -> float:
+    """-log det Omega + <S_hat, Omega>, given ``logdet`` = log det Omega."""
+    return float(-logdet + np.sum(problem.s_hat * omega))
 
 
 def _ksum_basis(dims: Dims) -> list[FactorSet]:
@@ -114,8 +119,8 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
     Each step starts from the BB stepsize <D, D> / <D, dG> of the last two
     iterates' dense differences (the previous stepsize on nonpositive
     curvature) and is halved until the candidate is positive definite by its
-    smallest eigenvalue and its smooth objective lies under the quadratic
-    model.  After ``_MAX_HALVINGS`` rejections the conservative step
+    Cholesky factor and its smooth objective lies under the quadratic model.
+    After ``_MAX_HALVINGS`` rejections the conservative step
     0.5 * lambda_min(Omega)^2 is taken unconditionally.
 
     Returns (omega, converged flag).  Reference optimum for the fast solver."""
@@ -124,42 +129,42 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
     _check_dense(p, ORACLE_SOLVER_P_LIMIT)
     omega = np.eye(p)
     f = proj_ksum_dense(omega, dims)
-    w = np.ones(p)
-    smooth = _dense_smooth(omega, w, problem)
+    smooth = _dense_smooth(omega, 0.0, problem)
     dense_grad = problem.s_hat - np.eye(p)  # S_hat - Omega^{-1}
     grad = proj_ksum_dense(dense_grad, dims)
-    zeta = 0.5 * w.min() ** 2
+    zeta = 0.5  # 0.5 * lambda_min(I)^2
     for _ in range(max_iter):
         for _ in range(_MAX_HALVINGS):
-            new_f, new_omega, new_w = _prox_step(f, grad, zeta, problem)
-            if new_w.min() > 0:
-                new_smooth = _dense_smooth(new_omega, new_w, problem)
-                d = new_omega - omega
-                q = smooth + np.sum(dense_grad * d) + np.sum(d * d) / (2 * zeta)
-                if new_smooth <= q + 1e-12 * (abs(q) + 1.0):
-                    break
+            new_f, new_omega, logdet = _prox_step(f, grad, zeta, problem)
+            new_smooth = _dense_smooth(new_omega, logdet, problem)
+            d = new_omega - omega
+            q = smooth + np.sum(dense_grad * d) + np.sum(d * d) / (2 * zeta)
+            # a candidate that is not PD has a NaN log-det, and fails
+            if new_smooth <= q + 1e-12 * (abs(q) + 1.0):
+                break
             zeta *= 0.5
         else:
-            zeta = 0.5 * w.min() ** 2
-            new_f, new_omega, new_w = _prox_step(f, grad, zeta, problem)
-            new_smooth = _dense_smooth(new_omega, new_w, problem)
+            zeta = 0.5 * np.linalg.eigvalsh(omega).min() ** 2
+            new_f, new_omega, logdet = _prox_step(f, grad, zeta, problem)
+            new_smooth = _dense_smooth(new_omega, logdet, problem)
         # one inverse per iterate serves its KKT test and its gradient
         new_dense_grad = problem.s_hat - np.linalg.inv(new_omega)
         new_grad = proj_ksum_dense(new_dense_grad, dims)
-        if _dense_kkt(new_omega, problem, new_grad) < tol:
+        if _dense_kkt(new_f, problem, new_grad) < tol:
             return new_omega, True
         d = new_omega - omega
         curvature = np.sum(d * (new_dense_grad - dense_grad))
         if curvature > 0:
             zeta = np.sum(d * d) / curvature
-        f, omega, w, smooth = new_f, new_omega, new_w, new_smooth
+        f, omega, smooth = new_f, new_omega, new_smooth
         dense_grad, grad = new_dense_grad, new_grad
-    return omega, _dense_kkt(omega, problem, grad) < tol
+    return omega, _dense_kkt(f, problem, grad) < tol
 
 
 def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem):
     """Proximal gradient candidate at stepsize ``zeta``: its factors, its
-    dense matrix and that matrix's eigenvalues."""
+    dense matrix and that matrix's log-determinant, 2 sum log diag L of its
+    Cholesky factor L, or NaN where it has none (not PD, or NaN entries)."""
     psi = [
         shrink_offdiag(f.psi[k] - zeta * grad.psi[k], zeta * problem.rho[k])
         for k in range(problem.dims.K)
@@ -167,24 +172,22 @@ def _prox_step(f: FactorSet, grad: FactorSet, zeta: float, problem: DenseProblem
     # sums and scalings of validated factors, as in the fast ista_step
     new_f = FactorSet._trusted(problem.dims, psi)
     omega = kron_sum_dense(new_f)
-    return new_f, omega, np.linalg.eigvalsh(omega)
+    try:
+        logdet = 2.0 * np.log(np.linalg.cholesky(omega).diagonal()).sum()
+    except np.linalg.LinAlgError:
+        logdet = np.nan
+    return new_f, omega, logdet
 
 
-def _dense_kkt(omega: np.ndarray, problem: DenseProblem, grad: FactorSet) -> float:
-    """KKT residual at ``omega``, whose gradient proj(S_hat - Omega^{-1}) is ``grad``."""
-    dims = problem.dims
-    f = proj_ksum_dense(omega, dims)
-    resid = 0.0
-    for k in range(dims.K):
-        G, P = grad.psi[k], f.psi[k]
-        off = ~np.eye(dims.d[k], dtype=bool)
-        nz = off & (np.abs(P) > 1e-12)
-        z = off & ~nz
-        if nz.any():
-            resid = max(resid, float(np.abs(G[nz] + problem.rho[k] * np.sign(P[nz])).max()))
-        if z.any():
-            resid = max(resid, max(0.0, float(np.abs(G[z]).max()) - problem.rho[k]))
-    resid = max(resid, float(np.abs(_kron_sum_diag(grad)).max()))
+def _dense_kkt(f: FactorSet, problem: DenseProblem, grad: FactorSet) -> float:
+    """KKT residual at the iterate with factors ``f``, whose gradient
+    proj(S_hat - Omega^{-1}) is ``grad``: per mode, |G + rho_k sign P| on the
+    support of P and |G| - rho_k off it, the diagonal excluded."""
+    resid = float(np.abs(_kron_sum_diag(grad)).max())
+    for G, P, rho in zip(grad.psi, f.psi, problem.rho):
+        r = np.where(np.abs(P) > 1e-12, np.abs(G + rho * np.sign(P)), np.abs(G) - rho)
+        np.fill_diagonal(r, 0.0)
+        resid = max(resid, float(r.max()))
     return resid
 
 

@@ -247,6 +247,22 @@ class TestProjection:
         w = np.linalg.eigvalsh(kron_sum_dense(proj_ksum_dense(A, dims)))
         assert w.min() >= -1e-8 * np.linalg.norm(A, 2)
 
+    @pytest.mark.parametrize("d", [[5], [1, 3], [3, 3, 4], [6, 6], [2, 2, 2, 2]])
+    def test_bitwise_equal_to_moveaxis_form(self, d):
+        # the one-einsum-per-mode trace sums the same entries in the same
+        # order as moving mode k to the front and tracing the complement
+        dims = Dims(d)
+        K = dims.K
+        A = np.random.default_rng(sum(d)).standard_normal((dims.p, dims.p))
+        A = A + A.T
+        shift = (K - 1) / K * (np.trace(A) / dims.p)
+        T = A.reshape(dims.d + dims.d)
+        for k, psi in enumerate(proj_ksum_dense(A, dims).psi):
+            mk = dims.m(k)
+            Tk = np.moveaxis(T, (k, K + k), (0, 1)).reshape(d[k], d[k], mk, mk)
+            Ak = np.einsum("rsii->rs", Tk) / mk
+            assert np.array_equal(psi, 0.5 * (Ak + Ak.T) - shift * np.eye(d[k]))
+
     @pytest.mark.parametrize("shape", [(5, 5), (6, 5), (36,)])
     def test_shape_check(self, shape):
         with pytest.raises(ValueError, match=r"expected 6x6 matrix"):

@@ -36,6 +36,19 @@ class TestDenseProblem:
         with pytest.raises(ValueError, match="s_hat must be 4x4"):
             DenseProblem(dims, np.eye(3), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_s_hat(self, bad):
+        # a NaN passes every comparison and an Inf overflows the symmetry test
+        s_hat = np.eye(4)
+        s_hat[1, 2] = s_hat[2, 1] = bad
+        with pytest.raises(ValueError, match="s_hat has non-finite entries"):
+            DenseProblem(Dims([2, 2]), s_hat, np.zeros(2))
+
+    @pytest.mark.parametrize("rho", [[np.nan, 0.1], [0.1, -1.0], [np.inf, 0.1], [np.nan, -1.0]])
+    def test_rejects_bad_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            DenseProblem(Dims([2, 2]), np.eye(4), rho)
+
     def test_size_limit(self):
         dims = Dims([32, 32])
         with pytest.raises(ValueError, match="limited"):
@@ -156,15 +169,18 @@ class TestDenseSolver:
         assert abs(gap) < 1e-6
         assert report.final_kkt < 1e-6
 
-    def test_converges_in_few_iterations(self):
+    def test_converges_in_few_iterations(self, monkeypatch):
         # BB steps with backtracking; the fixed 0.5 * lambda_min^2 step needed
-        # thousands of iterations on these problems
+        # thousands of iterations on these problems.  Each accepted iterate
+        # runs one KKT test: 1,600 in all, and the ceiling allows 2 % more
+        iterates = record_calls(monkeypatch, "_dense_kkt")
         problems = list(criterion4_problems())
         problems += [small_problem(rb)[2] for rb in (0.0, 0.1)]
         for prob in problems:
             omega, converged = dense_solver(prob, max_iter=500)
             assert converged
             assert np.linalg.eigvalsh(omega).min() > 0
+        assert len(iterates) <= 1632
 
     def test_capped_solve_is_not_converged(self):
         prob = small_problem(0.1)[2]
@@ -182,6 +198,18 @@ class TestDenseSolver:
         grad = proj_ksum_dense(A + A.T, dims)
         assert np.array_equal(teralasso.oracle._kron_sum_diag(grad), np.diag(kron_sum_dense(grad)))
 
+    def test_kkt_reads_iterate_factors(self, monkeypatch):
+        # the residual on the iterate's own factors is the one read from the
+        # projection of its dense matrix, bit for bit
+        iterates = record_calls(monkeypatch, "_dense_kkt")
+        problems = list(criterion4_problems())
+        for prob in problems:
+            dense_solver(prob)
+        kkt = teralasso.oracle._dense_kkt.__wrapped__
+        for (f, prob, grad), value in iterates:
+            assert value == kkt(proj_ksum_dense(kron_sum_dense(f), f.dims), prob, grad)
+        assert len(iterates) > len(problems)
+
     def test_safe_step_fallback_converges(self, monkeypatch):
         # with no halvings every step is the safe 0.5 * lambda_min^2 one; a
         # well-conditioned S_hat keeps those steps long
@@ -194,6 +222,63 @@ class TestDenseSolver:
         assert converged
         assert np.linalg.eigvalsh(omega).min() > 0
         np.testing.assert_allclose(omega, ref, atol=1e-6)
+
+
+class TestCholeskyStep:
+    """The line search's PD test and log-det: one Cholesky factor per candidate."""
+
+    @staticmethod
+    def candidate(psi):
+        # zero gradient and penalty: the candidate's factors are ``psi``
+        dims = Dims([len(m) for m in psi])
+        f = FactorSet._trusted(dims, psi)
+        zero = FactorSet._trusted(dims, [np.zeros_like(m) for m in psi])
+        prob = DenseProblem(dims, np.eye(dims.p), np.zeros(dims.K))
+        _, omega, logdet = teralasso.oracle._prox_step(f, zero, 0.5, prob)
+        return omega, logdet, prob
+
+    def test_rejects_even_number_of_negative_eigenvalues(self):
+        # eigenvalues (-1.5, -1.5, 2.5, 2.5): det > 0, yet not PD
+        omega, logdet, prob = self.candidate([np.diag([-2.0, 2.0]), 0.5 * np.eye(2)])
+        assert np.linalg.det(omega) > 0
+        assert np.isnan(logdet)
+        # a NaN smooth objective fails the line search's model test
+        assert np.isnan(teralasso.oracle._dense_smooth(omega, logdet, prob))
+
+    def test_rejects_nan_candidate(self):
+        omega, logdet, prob = self.candidate([np.diag([np.nan, 2.0]), np.eye(2)])
+        assert np.isnan(logdet)
+        # a NaN smooth objective fails the line search's model test
+        assert np.isnan(teralasso.oracle._dense_smooth(omega, logdet, prob))
+
+    def test_logdet_matches_eigenvalues(self, monkeypatch):
+        candidates = record_calls(monkeypatch, "_prox_step")
+        for prob in criterion4_problems():
+            dense_solver(prob)
+        checked = 0
+        for _, (_, omega, logdet) in candidates:
+            if np.isnan(logdet):
+                continue
+            ref = np.log(np.linalg.eigvalsh(omega)).sum()
+            assert abs(logdet - ref) <= 1e-12 * abs(ref)
+            checked += 1
+        assert checked > 100
+
+
+def record_calls(monkeypatch, name):
+    """Wrap ``teralasso.oracle.<name>`` so each call appends (args, result)
+    to the returned list; the original stays reachable as ``__wrapped__``."""
+    calls = []
+    original = getattr(teralasso.oracle, name)
+
+    @functools.wraps(original)
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(teralasso.oracle, name, wrapper)
+    return calls
 
 
 class TestRearrangement:
