@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Commands: generate | estimate | evaluate | sweep | selfcheck.  Every run
-writes a manifest with its command and configuration, which reruns it
-bit-identically.  Exit codes: 0 ok, 1 usage or I/O error, 2 solver hit the
-iteration cap, 3 self-check failure.
+Commands: generate | estimate | evaluate | sweep | selfcheck.  ``main``
+writes each run's manifest, its command and configuration, which reruns it
+bit-identically, into ``--out``; selfcheck has none.  Exit codes: 0 ok, 1
+usage or I/O error, 2 solver hit the iteration cap, 3 self-check failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .metrics import (
     MODELS,
     ExperimentSpec,
     edge_support,
+    effective_sample_size,
     estimation_errors,
     make_truth,
     mcc,
@@ -28,7 +29,7 @@ from .metrics import (
     tuning_sweep,
     write_table,
 )
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, resolve_rho, solve
 
 
 def _load_config(path):
@@ -85,16 +86,15 @@ def _read_config_value(command, key, conv, value):
     return value if read == value else read
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict):
-    manifest = {"command": command, "config": resolved}
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _out_dir(args) -> Path:
-    """The run's output directory, made before the run's work, so an unusable
-    path fails at once."""
+    """The run's output directory, made once the run is built and before its
+    work, so an unusable path fails at once."""
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -127,13 +127,12 @@ def cmd_generate(args, resolved) -> int:
     spec = _spec_from("generate", resolved)
     seed = check_seed(spec.seed)
     n = resolved["n"]
-    out = _out_dir(args)
     truth = make_truth(spec, seed)
+    out = _out_dir(args)
     data = sample_ksum_gaussian(truth, n, seed)
     with open(out / "truth.json", "w") as fh:
         fh.write(truth.to_json() + "\n")
     write_ktns(out / "samples.ktns", data)
-    _write_manifest(out, "generate", resolved)
     print(f"generated p={spec.dims.p} n={n} seed={seed} model={spec.model}")
     return 0
 
@@ -143,17 +142,17 @@ def cmd_estimate(args, resolved) -> int:
     cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
     for f in fields(cfg):
         resolved.setdefault(f.name.replace("_", "-"), getattr(cfg, f.name))
-    out = _out_dir(args)
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read data file: {exc}")
-    est, report = solve(gram_factors(data), n=data.n, config=cfg)
+    resolve_rho(cfg, data.dims, data.n)  # a penalty that overflows fails before --out
+    out = _out_dir(args)
+    est, report = solve(gram_factors(data), config=cfg)
     with open(out / "estimate.json", "w") as fh:
         fh.write(est.to_json() + "\n")
     with open(out / "report.json", "w") as fh:
         fh.write(report.to_json() + "\n")
-    _write_manifest(out, "estimate", resolved)
     print(
         f"estimated p={data.dims.p} iterations={report.iterations} "
         f"termination={report.termination}"
@@ -162,18 +161,14 @@ def cmd_estimate(args, resolved) -> int:
 
 
 def cmd_evaluate(args, resolved) -> int:
-    out = _out_dir(args)
     try:
         truth, est = (FactorSet.from_json(Path(resolved[key]).read_text())
                       for key in ("truth", "estimate"))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read factor file: {exc}")
-    errs = estimation_errors(truth, est)
+    errs = estimation_errors(truth, est)  # before --out: files of other dims fail here
     errs["mcc"] = mcc(edge_support(truth), edge_support(est))
-    with open(out / "metrics.json", "w") as fh:
-        json.dump(errs, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(out, "evaluate", resolved)
+    _write_json(_out_dir(args) / "metrics.json", errs)
     print(json.dumps(errs, sort_keys=True))
     return 0
 
@@ -185,16 +180,19 @@ def cmd_sweep(args, resolved) -> int:
     # --threads is accepted for compatibility and ignored; keep it out of the
     # reproducibility manifest so manifests match whatever value is passed
     resolved.pop("threads", None)
-    spec = _spec_from("sweep", resolved)
+    spec = _spec_from("sweep", resolved)  # checks the truth model, penalties and cap
+    ratios = tuple(resolved.setdefault("rho-ratios", [1.0])) if kind == "tuning" else (1.0,)
+    spec.cells(ratios)  # checks the tuning cells' penalties
+    if kind == "rate":
+        effective_sample_size(spec.dims, 1)  # a rate needs p > 1
     out = _out_dir(args)
     if kind == "rate":
         rows = run_rate_experiment(spec)
     elif kind == "support":
         rows = run_support_experiment(spec)
     else:
-        rows = tuning_sweep(spec, rho_ratios=tuple(resolved.setdefault("rho-ratios", [1.0])))
+        rows = tuning_sweep(spec, rho_ratios=ratios)
     write_table(rows, out / f"{kind}.csv")
-    _write_manifest(out, "sweep", resolved)
     print(f"sweep kind={kind} rows={len(rows)}")
     return 0
 
@@ -273,7 +271,12 @@ def main(argv=None) -> int:
     try:
         resolved = _resolve(args, _load_config(args.config))
         # looked up when it runs, so a rebound cmd_<name> is the one that runs
-        return globals()[f"cmd_{args.command}"](args, resolved)
+        code = globals()[f"cmd_{args.command}"](args, resolved)
+        # the run's record, for every command with an --out, on exit 2 too
+        if "out" in vars(args):
+            _write_json(_out_dir(args) / "manifest.json",
+                        {"command": args.command, "config": resolved})
+        return code
     except (OSError, ValueError) as exc:
         # bad input, found by the CLI or below it (invalid dims, too many
         # edges, negative rho, a non-PD truth), or an unusable path: one line

@@ -157,9 +157,6 @@ class FactorSet:
         _check_same_dims(self, other)
         return FactorSet._trusted(self.dims, [a - b for a, b in zip(self.psi, other.psi)])
 
-    def scale(self, c: float) -> "FactorSet":
-        return FactorSet._trusted(self.dims, [c * m for m in self.psi])
-
     @cached_property
     def spectrum(self) -> SpectrumSet:
         """The factors' eigensystem: one :func:`ksum_eigensystem` call per factor set."""

@@ -6,13 +6,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
 from .ksum import Dims, FactorSet, _check_same_dims, eigsum_absmax, ksum_frobenius
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, resolve_rho, solve
 
 __all__ = [
     "MODELS",
@@ -125,22 +124,37 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.trials < 1 or any(n < 1 for n in self.n_list):
             raise ValueError("counts must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.edges and len(self.edges) != self.dims.K:
             raise ValueError(f"edges needs one count per factor ({self.dims.K}), got {self.edges}")
+        # the other rules through their owners, before any data set is drawn: the
+        # generators' (AR coefficient, edge counts, grid side) and the solver's
+        _truth_factors(self, 0)
+        self.cells()
+
+    def cells(self, rho_ratios=(1.0,)) -> list[tuple[float, float, SolverConfig]]:
+        """Each (rho_bar, ratio) cell with a solver config whose penalties resolve at
+        every n; a ratio scales the rho_bar of every factor after the first."""
+        tail = self.dims.K - 1
+        cells = [(rb, r, SolverConfig(rho_bar=(rb,) + (rb * r,) * tail, max_iter=self.max_iter))
+                 for rb in self.rho_grid for r in rho_ratios]
+        for *_, config in cells:
+            for n in self.n_list:
+                resolve_rho(config, self.dims, n)
+        return cells
+
+
+def _truth_factors(spec: ExperimentSpec, trial_seed: int) -> list[np.ndarray]:
+    dims = spec.dims
+    if spec.model == "ar1":
+        return [ar1_factor(dk, spec.ar_coeff) for dk in dims.d]
+    gen = er_factor if spec.model == "er" else grid_factor
+    edges = spec.edges or dims.d
+    return [gen(dk, q, trial_seed + 1000 * k) for k, (dk, q) in enumerate(zip(dims.d, edges))]
 
 
 def make_truth(spec: ExperimentSpec, trial_seed: int) -> FactorSet:
     """Truth factors; random ones key factor k's generator with seed + 1000 k."""
-    dims = spec.dims
-    if spec.model == "ar1":
-        return FactorSet(dims, [ar1_factor(dk, spec.ar_coeff) for dk in dims.d])
-    edges = spec.edges if spec.edges else tuple(dk for dk in dims.d)
-    gen = er_factor if spec.model == "er" else grid_factor
-    return FactorSet(
-        dims, [gen(dk, q, trial_seed + 1000 * k) for k, (dk, q) in enumerate(zip(dims.d, edges))]
-    )
+    return FactorSet(spec.dims, _truth_factors(spec, trial_seed))
 
 
 def _trial_seed(spec: ExperimentSpec, *indices: int) -> int:
@@ -157,29 +171,27 @@ _SCORES = ("mcc", "precision", "recall", "frob_rel", "spectral")
 def _grid(spec: ExperimentSpec, n: int, rho_ratios=(1.0,)) -> list[dict]:
     """Solve and score every (rho_bar, ratio) cell on each trial's data set.
 
-    Each trial's data set is drawn once and shared by every cell.  A ratio
-    scales the rho_bar of every factor after the first.  Returns one dict per
-    cell, in (rho_bar, ratio) order, with the trial means of ``_SCORES`` and
-    the trial spread ``std_frob_rel``.
+    Each trial's data set is drawn once and shared by every cell of
+    :meth:`ExperimentSpec.cells`.  Returns one dict per cell, in (rho_bar,
+    ratio) order, with the trial means of ``_SCORES`` and the trial spread
+    ``std_frob_rel``.
     """
-    cells = [(rb, ratio) for rb in spec.rho_grid for ratio in rho_ratios]
+    cells = spec.cells(rho_ratios)
     scores = [[] for _ in cells]
     for t in range(spec.trials):
         seed = _trial_seed(spec, n, t)
         truth = make_truth(spec, seed)
         gram = gram_factors(sample_ksum_gaussian(truth, n, seed))
         ts = edge_support(truth)
-        for trial_scores, (rb, ratio) in zip(scores, cells):
-            rho_bar = (rb,) + (rb * ratio,) * (spec.dims.K - 1)
-            config = SolverConfig(rho_bar=rho_bar, max_iter=spec.max_iter)
-            est, _ = solve(gram, n=n, config=config)
+        for trial_scores, (_, _, config) in zip(scores, cells):
+            est, _ = solve(gram, config=config)
             es = edge_support(est)
             errs = estimation_errors(truth, est)
             trial_scores.append(
                 (mcc(ts, es), *precision_recall(ts, es), errs["frob_rel"], errs["spectral"])
             )
     out = []
-    for (rb, ratio), trial_scores in zip(cells, scores):
+    for (rb, ratio, _), trial_scores in zip(cells, scores):
         cols = dict(zip(_SCORES, zip(*trial_scores)))
         means = {name: float(np.mean(col)) for name, col in cols.items()}
         spread = float(np.std(cols["frob_rel"]))
@@ -241,7 +253,6 @@ def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
 
 def write_table(rows: list[dict], csv_path) -> None:
     """CSV with a header row; floats, numpy's too, are written exactly by ``repr``."""
-    csv_path = Path(csv_path)
     with open(csv_path, "w", newline="") as fh:
         if rows:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

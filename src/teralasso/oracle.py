@@ -41,9 +41,10 @@ class DenseProblem:
             raise ValueError(f"s_hat must be {p}x{p}")
         if rho.shape != (dims.K,):
             raise ValueError(f"rho must have length {dims.K}")
-        # before any arithmetic on them: a NaN passes every comparison below
-        if not np.isfinite(s_hat).all():
-            raise ValueError("s_hat has non-finite entries")
+        # before any arithmetic on them: a NaN passes every comparison below, and
+        # dense_solver's steps from Omega = I overflowed on entries from 1e8 on
+        if not np.abs(s_hat).max() <= 1e6:
+            raise ValueError("s_hat has non-finite entries or entries beyond 1e+06")
         if not (np.isfinite(rho).all() and (rho >= 0).all()):
             raise ValueError("rho must be finite and nonnegative")
         if np.abs(s_hat - s_hat.T).max() > 1e-10 * max(np.abs(s_hat).max(), 1.0):

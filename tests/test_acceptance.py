@@ -33,6 +33,8 @@ from teralasso.solver import (
     subspace_gradient,
 )
 
+from helpers import scaled
+
 
 _reporter = None
 
@@ -92,10 +94,10 @@ def test_criterion_02_gradient_finite_differences():
                 dims,
                 [0.5 * (M + M.T) for M in (rng.standard_normal((d, d)) for d in dims.d)],
             )
-            direction = direction.scale(1.0 / ksum_frobenius(direction))
+            direction = scaled(direction, 1.0 / ksum_frobenius(direction))
             fd = (
-                smooth_objective(truth + direction.scale(h), g)
-                - smooth_objective(truth - direction.scale(h), g)
+                smooth_objective(truth + scaled(direction, h), g)
+                - smooth_objective(truth - scaled(direction, h), g)
             ) / (2 * h)
             an = ksum_inner(grad, direction)
             worst = max(worst, abs(fd - an) / max(abs(an), 1.0))

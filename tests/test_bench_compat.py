@@ -56,6 +56,8 @@ def test_tracer_sees_solver_layers(tmp_path):
         "metrics.sweep.self_ms",
     ):
         assert np.isfinite(metrics[name]) and metrics[name] > 0, name
+    # the one-trial sweep's one truth: no check before --out draws another
+    assert metrics["metrics.cells"] == 1
     assert teralasso.solver.solve is original
     assert teralasso.solve is original and teralasso.metrics.solve is original
 

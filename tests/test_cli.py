@@ -9,6 +9,7 @@ import pytest
 
 import teralasso
 import teralasso.cli
+import teralasso.metrics
 import teralasso.selfcheck
 from teralasso.cli import main
 from teralasso.data import read_ktns, write_ktns
@@ -115,6 +116,16 @@ class TestEstimate:
              "--rho-bar", "0.2", "--max-iter", "2", "--out", str(tmp_path / "f")]
         )
         assert code == 2
+
+    def test_capped_run_writes_its_manifest(self, dataset, tmp_path):
+        out = tmp_path / "f"
+        code = run(["estimate", "--data", str(dataset / "samples.ktns"), "--rho-bar", "0.2",
+                    "--max-iter", "2", "--out", str(out)])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest == {"command": "estimate",
+                            "config": {"data": str(dataset / "samples.ktns"), "rho-bar": 0.2,
+                                       "max-iter": 2, "tol-kkt": 1e-6}}
 
     def test_config_key_not_read(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -275,6 +286,7 @@ class TestBadInput:
             ["evaluate", "--truth", "{truth}", "--estimate", "{short}"],
             ["evaluate", "--truth", "{truth}", "--estimate", "{nanjson}"],
             ["evaluate", "--truth", "{nokey}", "--estimate", "{truth}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{otherdims}"],
             ["generate", "--model", "er", "--dims", "4,4", "--edges", "2,2", "--n", "2",
              "--seed", "9223372036854775807"],
             ["estimate", "--data", "{good}", "--config", "{rhobar}"],
@@ -313,7 +325,7 @@ class TestBadInput:
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
-             "extra-factor", "short-factor", "nan-factor", "missing-key",
+             "extra-factor", "short-factor", "nan-factor", "missing-key", "dims-mismatch",
              "factor-seed-range", "config-rho_bar", "config-seed",
              "estimate-max-iter-zero", "sweep-max-iter-negative",
              "config-n-list", "config-seed-float", "config-edges-scalar", "config-rho-bar-list",
@@ -335,6 +347,7 @@ class TestBadInput:
             "short": {**truth, "factors": [truth["factors"][0], truth["factors"][1][:-1]]},
             "nanjson": {**truth, "factors": [[float("nan")] * 16, truth["factors"][1]]},
             "nokey": {"dims": truth["dims"]},
+            "otherdims": {"dims": [2, 2], "factors": [[1.0, 0.0, 0.0, 1.0]] * 2},
             # config keys estimate does not read: rho-bar is its spelling, seed not its input
             "rhobar": {"rho_bar": 5.0},
             "seed": {"seed": 7},
@@ -379,6 +392,40 @@ class TestBadInput:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        # every parameter and input-file error is found before --out is made
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--model", "ar1", "--ar-coeff", "1", "--dims", "4,4", "--n", "2"],
+            ["generate", "--dims", "4,4", "--edges", "100,1", "--n", "2"],
+            ["sweep", "--model", "grid", "--dims", "5,5"],
+            ["sweep", "--dims", "4,4", "--rho-grid", "nan"],
+            ["sweep", "--dims", "4,4", "--rho-grid=-1"],
+            ["sweep", "--kind", "rate", "--dims", "1"],
+            ["sweep", "--kind", "tuning", "--dims", "4,4", "--config", "{ratios}"],
+            ["estimate", "--data", "{missing}"],
+            ["evaluate", "--truth", "{missing}", "--estimate", "{missing}"],
+        ],
+        ids=["ar-coeff-one", "too-many-edges", "grid-side", "rho-grid-nan", "rho-grid-negative",
+             "rate-p-equals-1", "negative-ratio", "missing-data", "missing-truth"],
+    )
+    def test_fails_before_out(self, tmp_path, monkeypatch, capsys, argv):
+        # each rule is checked before --out is made, and a sweep's before any data set is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a data set was drawn before the parameters were checked")
+
+        monkeypatch.setattr(teralasso.metrics, "sample_ksum_gaussian", no_draw)
+        ratios = tmp_path / "ratios.json"
+        ratios.write_text(json.dumps({"rho-ratios": [-2.0]}))
+        files = {"ratios": ratios, "missing": tmp_path / "missing.json"}
+        out = tmp_path / "out"
+        code = run([a.format(**files) for a in argv] + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, needle",
@@ -426,6 +473,31 @@ class TestUsageErrors:
             run(argv)
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRunRecord:
+    """``main`` writes each run's manifest once the command returns."""
+
+    def test_none_after_a_raise(self, tmp_path, monkeypatch, capsys):
+        # the sweep raises after --out exists: no record of a run that did not finish
+        def failing_sweep(spec):
+            raise ValueError("sweep failed")
+
+        monkeypatch.setattr(teralasso.cli, "run_support_experiment", failing_sweep)
+        out = tmp_path / "out"
+        code = run(["sweep", "--kind", "support", "--dims", "4,4", "--n", "2",
+                    "--rho-grid", "0.1", "--trials", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sweep failed\n"
+        assert out.is_dir() and not (out / "manifest.json").exists()
+
+    def test_none_for_selfcheck(self, tmp_path, monkeypatch, capsys):
+        # selfcheck takes no --out, so it leaves no manifest in the working directory
+        monkeypatch.setattr(teralasso.selfcheck, "run_selfcheck", lambda seed: [])
+        monkeypatch.chdir(tmp_path)
+        assert run(["selfcheck"]) == 0
+        assert "selfcheck passed" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSelfcheck:

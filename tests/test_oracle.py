@@ -44,6 +44,18 @@ class TestDenseProblem:
         with pytest.raises(ValueError, match="s_hat has non-finite entries"):
             DenseProblem(Dims([2, 2]), s_hat, np.zeros(2))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e308, 1.000001e6])
+    def test_rejects_s_hat_beyond_the_solver_range(self, scale):
+        # 1e200 I was accepted and overflowed dense_solver; 1e308 I overflowed
+        # the symmetry test
+        with pytest.raises(ValueError, match=r"or entries beyond 1e\+06"):
+            DenseProblem(Dims([2, 2]), scale * np.eye(4), np.zeros(2))
+
+    def test_solves_at_the_s_hat_bound(self):
+        omega, converged = dense_solver(DenseProblem(Dims([2, 2]), 1e6 * np.eye(4), np.zeros(2)))
+        assert converged
+        np.testing.assert_allclose(omega, 1e-6 * np.eye(4), rtol=1e-6)
+
     @pytest.mark.parametrize("rho", [[np.nan, 0.1], [0.1, -1.0], [np.inf, 0.1], [np.nan, -1.0]])
     def test_rejects_bad_rho(self, rho):
         with pytest.raises(ValueError, match="rho must be finite and nonnegative"):

@@ -33,6 +33,8 @@ from teralasso.solver import (
     subspace_gradient,
 )
 
+from helpers import scaled
+
 
 def identity_gram(dims, n=10):
     """GramSet with every S_k = I, whose solution is Omega = I for rho = 0."""
@@ -192,9 +194,9 @@ class TestObjectiveAndGradient:
                 dims,
                 [0.5 * (M + M.T) for M in (rng.standard_normal((d, d)) for d in dims.d)],
             )
-            direction = direction.scale(1.0 / ksum_frobenius(direction))
-            plus = smooth_objective(f + direction.scale(h), g)
-            minus = smooth_objective(f - direction.scale(h), g)
+            direction = scaled(direction, 1.0 / ksum_frobenius(direction))
+            plus = smooth_objective(f + scaled(direction, h), g)
+            minus = smooth_objective(f - scaled(direction, h), g)
             fd = (plus - minus) / (2 * h)
             an = ksum_inner(grad, direction)
             worst = max(worst, abs(fd - an) / max(abs(an), 1.0))
@@ -229,7 +231,7 @@ class TestStepAndLineSearch:
     def test_nonpositive_stepsize_rejected(self, zeta):
         dims = Dims([2, 2])
         g = identity_gram(dims)
-        f = FactorSet.identity(dims).scale(0.5)
+        f = scaled(FactorSet.identity(dims), 0.5)
         grad = subspace_gradient(f, g)
         with pytest.raises(ValueError, match="zeta must be positive"):
             ista_step(f, grad, [0.0, 0.0], zeta)
@@ -267,7 +269,7 @@ class TestStepAndLineSearch:
         # against a reference as high as the candidate's objective
         dims = Dims([2, 3])
         g = identity_gram(dims)
-        f = FactorSet.identity(dims).scale(0.5)
+        f = scaled(FactorSet.identity(dims), 0.5)
         grad = subspace_gradient(f, g)
         rho = [0.0, 0.0]
         base_total = objective(f, g, rho)
@@ -291,7 +293,7 @@ class TestStepAndLineSearch:
         # sigma = 1e-4 and passes at sigma = 0
         dims = Dims([2, 3])
         g = identity_gram(dims)
-        f = FactorSet.identity(dims).scale(0.5)
+        f = scaled(FactorSet.identity(dims), 0.5)
         grad = subspace_gradient(f, g)
         rho, zeta = [0.0, 0.0], 0.1
         cand = ista_step(f, grad, rho, zeta)
@@ -429,7 +431,7 @@ class TestStepAndLineSearch:
     def test_bb_fallback_on_negative_curvature(self):
         dims = Dims([2, 2])
         d_omega = FactorSet(dims, [np.eye(2), np.eye(2)])
-        d_grad = d_omega.scale(-1.0)
+        d_grad = scaled(d_omega, -1.0)
         dd = ksum_inner(d_omega, d_omega)
         assert bb_stepsize(d_omega, d_grad, 0.123, dd) == 0.123
 
@@ -503,7 +505,7 @@ class TestSolve:
         truth, g = random_problem(dims, n=6, seed=11)
         cfg = SolverConfig(rho_bar=0.2)
         a, _ = solve(g, config=cfg)
-        b, _ = solve(g, config=cfg, init=FactorSet.identity(dims).scale(2.0))
+        b, _ = solve(g, config=cfg, init=scaled(FactorSet.identity(dims), 2.0))
         np.testing.assert_allclose(
             kron_sum_dense(a), kron_sum_dense(b), atol=1e-5
         )
