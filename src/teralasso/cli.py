@@ -100,31 +100,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _spec_from(command: str, resolved: dict) -> ExperimentSpec:
-    """The run's experiment; ``edges`` with ar1 and ``ar-coeff`` with another model are
-    errors.  Records in ``resolved`` the spec's default of each field the command takes and
-    the model reads, but ``edges``, which ``dims`` gives."""
-    model = resolved.get("model", "er")
-    ignored = "edges" if model == "ar1" else "ar-coeff"
-    if ignored in resolved:
-        raise ValueError(f"{command}: the {model} model does not read '{ignored}'")
-    keys = {"n_list" if key == "n" else key.replace("-", "_"): key for key in COMMANDS[command][2]}
-    names = keys.keys() & {f.name for f in fields(ExperimentSpec)}
-    kwargs = {"model": model}
+def _build(cls, command: str, resolved: dict, **given):
+    """``cls`` from ``given`` and each resolved key of ``command`` that names a field
+    (``n`` names ``n_list``); a key the run does not read (``_READ_WHEN``) is an error.
+    Records in ``resolved`` the default of each field the run read, but ``edges``,
+    which ``dims`` gives."""
+    unread = set()
+    for key, (by, readers) in _READ_WHEN.items():
+        if by in resolved and resolved[by] not in readers:
+            if key in resolved:
+                raise ValueError(f"{command}: {by} {resolved[by]} does not read '{key}'")
+            unread.add(key)
+    keys = {"n_list" if key == "n" else key.replace("-", "_"): key
+            for key in COMMANDS[command][2] if key not in unread}
+    names = (keys.keys() & {f.name for f in fields(cls)}) - given.keys()
     for name in (n for n in names if keys[n] in resolved):
-        val = resolved[keys[name]]
-        if name == "n_list" and not isinstance(val, list):
-            val = [val]  # generate draws one n
-        kwargs[name] = tuple(val) if isinstance(val, list) else val
-    spec = ExperimentSpec(**{**kwargs, "dims": Dims(resolved["dims"])})
-    for name in names - {"edges", ignored.replace("-", "_")}:
-        val = getattr(spec, name)
+        val = resolved[keys[name]]  # generate's n is one int
+        given[name] = tuple(val) if isinstance(val, list) else (val,) if name == "n_list" else val
+    obj = cls(**given)
+    for name in names - {"edges"}:
+        val = getattr(obj, name)
         resolved.setdefault(keys[name], list(val) if isinstance(val, tuple) else val)
-    return spec
+    return obj
 
 
 def cmd_generate(args, resolved) -> int:
-    spec = _spec_from("generate", resolved)
+    resolved.setdefault("model", "er")
+    spec = _build(ExperimentSpec, "generate", resolved, dims=Dims(resolved["dims"]))
     seed = check_seed(spec.seed)
     n = resolved["n"]
     truth = make_truth(spec, seed)
@@ -139,9 +141,7 @@ def cmd_generate(args, resolved) -> int:
 
 def cmd_estimate(args, resolved) -> int:
     resolved.setdefault("rho-bar", 0.01)
-    cfg = SolverConfig(**{k.replace("-", "_"): v for k, v in resolved.items() if k != "data"})
-    for f in fields(cfg):
-        resolved.setdefault(f.name.replace("_", "-"), getattr(cfg, f.name))
+    cfg = _build(SolverConfig, "estimate", resolved)
     try:
         data = read_ktns(resolved["data"])
     except (OSError, ValueError) as exc:
@@ -175,23 +175,17 @@ def cmd_evaluate(args, resolved) -> int:
 
 def cmd_sweep(args, resolved) -> int:
     kind = resolved.setdefault("kind", "rate")
-    if kind != "tuning" and "rho-ratios" in resolved:
-        raise ValueError(f"sweep: kind {kind} does not read 'rho-ratios'; kind tuning does")
     # --threads is accepted for compatibility and ignored; keep it out of the
     # reproducibility manifest so manifests match whatever value is passed
     resolved.pop("threads", None)
-    spec = _spec_from("sweep", resolved)  # checks the truth model, penalties and cap
-    ratios = tuple(resolved.setdefault("rho-ratios", [1.0])) if kind == "tuning" else (1.0,)
-    spec.cells(ratios)  # checks the tuning cells' penalties
+    resolved.setdefault("model", "er")
+    # checks the truth model, the cap and every (rho_bar, ratio) cell's penalties
+    spec = _build(ExperimentSpec, "sweep", resolved, dims=Dims(resolved["dims"]))
     if kind == "rate":
         effective_sample_size(spec.dims, 1)  # a rate needs p > 1
     out = _out_dir(args)
-    if kind == "rate":
-        rows = run_rate_experiment(spec)
-    elif kind == "support":
-        rows = run_support_experiment(spec)
-    else:
-        rows = tuning_sweep(spec, rho_ratios=ratios)
+    rows = {"rate": run_rate_experiment, "support": run_support_experiment,
+            "tuning": tuning_sweep}[kind](spec)
     write_table(rows, out / f"{kind}.csv")
     print(f"sweep kind={kind} rows={len(rows)}")
     return 0
@@ -240,6 +234,9 @@ COMMANDS = {
     "selfcheck": ("run the oracle cross-check battery", (), {"seed": int}),
 }
 _CONFIG_ONLY = ("rho-ratios",)
+# a key only some runs read: the key that decides, and its values that read it
+_READ_WHEN = {"edges": ("model", ("er", "grid")), "ar-coeff": ("model", ("ar1",)),
+              "rho-ratios": ("kind", ("tuning",))}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -182,7 +182,12 @@ class FactorSet:
             raise ValueError(f"factor JSON needs {dims.K} factors for dims {list(dims.d)}")
         psi = []
         for k, (flat, dk) in enumerate(zip(factors, dims.d)):
-            a = np.asarray(flat, dtype=float)
+            try:  # JSON numbers, by type, as Dims takes JSON integers: "1" or true is not 1.0
+                if not isinstance(flat, list) or any(type(x) not in (int, float) for x in flat):
+                    raise TypeError("entries must be JSON numbers in a flat list")
+                a = np.asarray(flat, dtype=float)
+            except (TypeError, OverflowError) as e:  # an int beyond the largest float
+                raise ValueError(f"factor {k}: {e}") from None
             if a.shape != (dk * dk,):
                 raise ValueError(f"factor {k} has {a.size} entries, expected {dk * dk}")
             psi.append(a.reshape(dk, dk))

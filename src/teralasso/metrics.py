@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,9 +115,11 @@ class ExperimentSpec:
     ar_coeff: float = 0.5
     n_list: tuple[int, ...] = (10,)
     rho_grid: tuple[float, ...] = tuple(np.logspace(-3, 1, 7).tolist())
+    rho_ratios: tuple[float, ...] = (1.0,)  # each scales the rho_bar of factors 2..K
     trials: int = 10
     seed: int = 0
     max_iter: int = 400
+    cells: tuple = field(init=False, repr=False, compare=False)  # (rho_bar, ratio, config)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -127,20 +129,15 @@ class ExperimentSpec:
         if self.edges and len(self.edges) != self.dims.K:
             raise ValueError(f"edges needs one count per factor ({self.dims.K}), got {self.edges}")
         # the other rules through their owners, before any data set is drawn: the
-        # generators' (AR coefficient, edge counts, grid side) and the solver's
+        # generators' (AR coefficient, edge counts, grid side) and the solver's at every n
         _truth_factors(self, 0)
-        self.cells()
-
-    def cells(self, rho_ratios=(1.0,)) -> list[tuple[float, float, SolverConfig]]:
-        """Each (rho_bar, ratio) cell with a solver config whose penalties resolve at
-        every n; a ratio scales the rho_bar of every factor after the first."""
-        tail = self.dims.K - 1
-        cells = [(rb, r, SolverConfig(rho_bar=(rb,) + (rb * r,) * tail, max_iter=self.max_iter))
-                 for rb in self.rho_grid for r in rho_ratios]
+        tail, cap = self.dims.K - 1, self.max_iter
+        cells = tuple((rb, r, SolverConfig(rho_bar=(rb,) + (rb * r,) * tail, max_iter=cap))
+                      for rb in self.rho_grid for r in self.rho_ratios)
         for *_, config in cells:
             for n in self.n_list:
                 resolve_rho(config, self.dims, n)
-        return cells
+        object.__setattr__(self, "cells", cells)
 
 
 def _truth_factors(spec: ExperimentSpec, trial_seed: int) -> list[np.ndarray]:
@@ -168,22 +165,20 @@ def _trial_seed(spec: ExperimentSpec, *indices: int) -> int:
 _SCORES = ("mcc", "precision", "recall", "frob_rel", "spectral")
 
 
-def _grid(spec: ExperimentSpec, n: int, rho_ratios=(1.0,)) -> list[dict]:
+def _grid(spec: ExperimentSpec, n: int) -> list[dict]:
     """Solve and score every (rho_bar, ratio) cell on each trial's data set.
 
     Each trial's data set is drawn once and shared by every cell of
-    :meth:`ExperimentSpec.cells`.  Returns one dict per cell, in (rho_bar,
-    ratio) order, with the trial means of ``_SCORES`` and the trial spread
-    ``std_frob_rel``.
+    ``spec.cells``.  Returns one dict per cell, in (rho_bar, ratio) order, with
+    the trial means of ``_SCORES`` and the trial spread ``std_frob_rel``.
     """
-    cells = spec.cells(rho_ratios)
-    scores = [[] for _ in cells]
+    scores = [[] for _ in spec.cells]
     for t in range(spec.trials):
         seed = _trial_seed(spec, n, t)
         truth = make_truth(spec, seed)
         gram = gram_factors(sample_ksum_gaussian(truth, n, seed))
         ts = edge_support(truth)
-        for trial_scores, (_, _, config) in zip(scores, cells):
+        for trial_scores, (_, _, config) in zip(scores, spec.cells):
             est, _ = solve(gram, config=config)
             es = edge_support(est)
             errs = estimation_errors(truth, est)
@@ -191,7 +186,7 @@ def _grid(spec: ExperimentSpec, n: int, rho_ratios=(1.0,)) -> list[dict]:
                 (mcc(ts, es), *precision_recall(ts, es), errs["frob_rel"], errs["spectral"])
             )
     out = []
-    for (rb, ratio, _), trial_scores in zip(cells, scores):
+    for (rb, ratio, _), trial_scores in zip(spec.cells, scores):
         cols = dict(zip(_SCORES, zip(*trial_scores)))
         means = {name: float(np.mean(col)) for name, col in cols.items()}
         spread = float(np.std(cols["frob_rel"]))
@@ -238,8 +233,8 @@ def run_support_experiment(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
-    """Sweep rho_bar (and optional per-factor deviations rho_bar_2 = ratio * rho_bar).
+def tuning_sweep(spec: ExperimentSpec) -> list[dict]:
+    """Every cell of ``spec.cells``: each rho_bar at each of ``spec.rho_ratios``.
 
     Ratios other than 1 scale the penalty of every factor after the first,
     reproducing the near-optimality check of the single-parameter rule.
@@ -247,7 +242,7 @@ def tuning_sweep(spec: ExperimentSpec, rho_ratios=(1.0,)) -> list[dict]:
     return [
         {"n": n, **{k: cell[k] for k in ("rho_bar", "ratio", "mcc", "frob_rel", "spectral")}}
         for n in spec.n_list
-        for cell in _grid(spec, n, rho_ratios)
+        for cell in _grid(spec, n)
     ]
 
 

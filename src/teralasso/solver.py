@@ -53,8 +53,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.tol_kkt > 0:
-            raise ValueError(f"tol_kkt must be positive, got {self.tol_kkt}")
+        if not 0 < self.tol_kkt < math.inf:  # an infinite one would call any iterate converged
+            raise ValueError(f"tol_kkt must be finite and positive, got {self.tol_kkt}")
         rho_bar = np.asarray(self.rho_bar, dtype=float)  # an int of any size too
         if not np.all(np.isfinite(rho_bar) & (rho_bar >= 0)):
             raise ValueError(f"rho_bar must be finite and nonnegative, got {self.rho_bar}")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,14 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teralasso
 import teralasso.cli
 import teralasso.metrics
 import teralasso.selfcheck
 from teralasso.cli import main
-from teralasso.data import read_ktns, write_ktns
-from teralasso.ksum import FactorSet
+from teralasso.data import DataTensorSet, read_ktns, write_ktns
+from teralasso.ksum import Dims, FactorSet
+from teralasso.solver import resolve_rho
 
 
 def run(argv):
@@ -228,6 +233,25 @@ class TestSweep:
                           "rho-grid": [0.3], "rho-ratios": [1.0], "trials": 1, "seed": 0,
                           "max-iter": 400}
 
+    def test_tuning_cells_resolved_once(self, tmp_path, monkeypatch):
+        # the spec checks each (rho_bar, ratio) cell's penalties once per n, and the
+        # sweep reads the cells it built
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return resolve_rho(*args)
+
+        monkeypatch.setattr(teralasso.metrics, "resolve_rho", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho-ratios": [0.5, 2.0]}))
+        assert run(["sweep", "--kind", "tuning", "--dims", "3,3", "--n", "2,4",
+                    "--rho-grid", "0.1,0.3", "--trials", "1", "--max-iter", "20",
+                    "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2 * 2 * 2
+        rows = (tmp_path / "out" / "tuning.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["0.5", "2.0"] * 4
+
     def test_threads_byte_identical(self, tmp_path):
         outs = []
         for label, threads in (("t1", "1"), ("t4", "4")):
@@ -322,6 +346,10 @@ class TestBadInput:
             # an output path that cannot be a directory
             ["generate", "--dims", "3,3", "--n", "2", "--out", "{truth}/sub"],
             ["generate", "--dims", "3,3", "--n", "2", "--out", "{truth}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{strfactor}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{boolfactor}"],
+            ["evaluate", "--truth", "{truth}", "--estimate", "{nestedfactor}"],
+            ["evaluate", "--truth", "{bigintfactor}", "--estimate", "{truth}"],
         ],
         ids=["zero-dim", "too-many-edges", "huge-seed", "selfcheck-seed-range",
              "negative-rho", "nan-sample", "p-equals-1",
@@ -334,7 +362,8 @@ class TestBadInput:
              "overflow-rho", "config-rho-grid-overflow", "header-n-bool", "header-dims-float",
              "truth-dims-float", "negative-edges", "rho-ratios-off-tuning", "ar1-edges",
              "er-ar-coeff", "config-missing", "config-malformed", "config-not-object",
-             "out-under-file", "out-is-file"],
+             "out-under-file", "out-is-file", "factor-strings", "factor-bools",
+             "factor-nested", "factor-int-beyond-float"],
     )
     def test_one_line_error(self, tmp_path, argv):
         assert run(["generate", "--dims", "4,4", "--n", "3", "--out", str(tmp_path)]) == 0
@@ -365,6 +394,12 @@ class TestBadInput:
             # a parameter the sweep kind would not read
             "rhoratios": {"rho-ratios": [2.0]},
             "configlist": [1, 2],  # not a JSON object
+            # factor entries must be JSON numbers in a flat list: "1" and true are not 1.0
+            "strfactor": {**truth, "factors": [[str(x) for x in psi] for psi in truth["factors"]]},
+            "boolfactor": {**truth, "factors": [[x != 0 for x in psi] for psi in truth["factors"]]},
+            "nestedfactor": {**truth, "factors": [np.reshape(psi, (4, 4)).tolist()
+                                                  for psi in truth["factors"]]},
+            "bigintfactor": {**truth, "factors": [[10**400] * 16, truth["factors"][1]]},
         }
         files = {"good": tmp_path / "samples.ktns", "nan": tmp_path / "nan.ktns",
                  "truth": tmp_path / "truth.json", "missing": tmp_path / "missing.json",
@@ -407,9 +442,12 @@ class TestBadInput:
             ["sweep", "--kind", "tuning", "--dims", "4,4", "--config", "{ratios}"],
             ["estimate", "--data", "{missing}"],
             ["evaluate", "--truth", "{missing}", "--estimate", "{missing}"],
+            # a solve stopped by an infinite tolerance would report convergence it never reached
+            ["estimate", "--data", "{data}", "--tol-kkt", "inf"],
         ],
         ids=["ar-coeff-one", "too-many-edges", "grid-side", "rho-grid-nan", "rho-grid-negative",
-             "rate-p-equals-1", "negative-ratio", "missing-data", "missing-truth"],
+             "rate-p-equals-1", "negative-ratio", "missing-data", "missing-truth",
+             "tol-kkt-inf"],
     )
     def test_fails_before_out(self, tmp_path, monkeypatch, capsys, argv):
         # each rule is checked before --out is made, and a sweep's before any data set is drawn
@@ -419,7 +457,9 @@ class TestBadInput:
         monkeypatch.setattr(teralasso.metrics, "sample_ksum_gaussian", no_draw)
         ratios = tmp_path / "ratios.json"
         ratios.write_text(json.dumps({"rho-ratios": [-2.0]}))
-        files = {"ratios": ratios, "missing": tmp_path / "missing.json"}
+        files = {"ratios": ratios, "missing": tmp_path / "missing.json",
+                 "data": tmp_path / "data.ktns"}
+        write_ktns(files["data"], DataTensorSet(Dims([3, 3]), np.eye(3, 9)))
         out = tmp_path / "out"
         code = run([a.format(**files) for a in argv] + ["--out", str(out)])
         err = capsys.readouterr().err
@@ -523,3 +563,60 @@ class TestSelfcheck:
         assert code == 3
         assert "FAIL  projection-vs-basis" in out
         assert "PASS  gradient-vs-dense" in out
+
+
+# Every value a config file can hold that no parameter should take on trust.
+# Large counts (trials, n, max-iter) and large dims such as {"dims": [3000]}
+# are kept out on purpose: they are valid, only slow, and this test bounds no
+# run time.
+_HOSTILE = [None, True, False, {}, [], [[1]], [[], []], "", "x", "1", 0, 1, -1, -2**70,
+            1e308, 0.5]
+_BAD_ITEMS = [None, True, {}, [1], "x", 0, -1, -2**70, 1e308, 0.5]
+# small flags for the keys not under test: one trial, one rho_bar, n = 2, dims 3,3
+_BASE = {
+    "generate": {"dims": "3,3", "n": "2"},
+    "estimate": {"data": "{data}", "max-iter": "20"},
+    "evaluate": {"truth": "{truth}", "estimate": "{truth}"},
+    "sweep": {"dims": "3,3", "n": "2", "trials": "1", "rho-grid": "0.1", "max-iter": "20"},
+    "selfcheck": {},
+}
+
+
+def test_fuzz_config_values(tmp_path, monkeypatch):
+    """Each (command, key) of ``cli.COMMANDS`` set through a config file to a
+    hostile value exits 0, 1 or 2, an exit 1 with one ``error:`` line, and no
+    exception leaves ``main``."""
+    assert run(["generate", "--dims", "3,3", "--n", "2", "--out", str(tmp_path)]) == 0
+    files = {"data": tmp_path / "samples.ktns", "truth": tmp_path / "truth.json"}
+    # relative path values name no file; the battery itself is not under test
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(teralasso.selfcheck, "run_selfcheck", lambda seed: [])
+    pairs = [(command, key) for command, (_, _, params) in teralasso.cli.COMMANDS.items()
+             for key in params]
+    assert {command for command, _ in pairs} == _BASE.keys()
+    values = st.sampled_from(_HOSTILE) | st.lists(st.sampled_from(_BAD_ITEMS), min_size=1,
+                                                    max_size=3)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(pairs), values, st.sampled_from(teralasso.metrics.MODELS),
+           st.sampled_from(("rate", "support", "tuning")))
+    def check(pair, value, model, kind):
+        command, key = pair
+        params = teralasso.cli.COMMANDS[command][2]
+        flags = {**_BASE[command], "model": model, "kind": kind}
+        argv = [command, "--config", str(tmp_path / "cfg.json")]
+        for flag, text in flags.items():
+            if flag in params and flag != key:
+                argv += [f"--{flag}", text.format(**files)]
+        if command != "selfcheck":
+            argv += ["--out", str(tmp_path / "out")]
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, value)
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, (argv, value, text)
+
+    check()

@@ -460,13 +460,23 @@ class TestSerialization:
             ({"dims": [2], "factors": [[1, float("nan"), float("nan"), 1]]}, "non-finite"),
             ({"dims": [1, 1], "factors": [[1.0], [float("inf")]]}, "non-finite"),
             ([1, 2], "needs the keys"),
+            ({"dims": [2], "factors": [["1", "0", "0", "1"]]}, "factor 0: .*JSON numbers"),
+            ({"dims": [2], "factors": [[True, False, False, True]]}, "factor 0: .*JSON numbers"),
+            ({"dims": [2], "factors": [[[1, 0], [0, 1]]]}, "factor 0: .*flat list"),
+            ({"dims": [1, 1], "factors": [[1], None]}, "factor 1: .*flat list"),
+            ({"dims": [1], "factors": [[10**400]]}, "factor 0: int too large"),
         ],
         ids=["no-dims", "no-factors", "extra-factor", "missing-factor", "short-factor",
-             "long-factor", "nan", "inf", "not-object"],
+             "long-factor", "nan", "inf", "not-object", "strings", "bools", "nested", "null",
+             "int-beyond-float"],
     )
     def test_from_json_rejects(self, blob, needle):
         with pytest.raises(ValueError, match=needle):
             FactorSet.from_json(json.dumps(blob))
+
+    def test_from_json_reads_integers(self):
+        f = FactorSet.from_json('{"dims": [2], "factors": [[2, 0, 0, 1.5]]}')
+        np.testing.assert_array_equal(f.psi[0], [[2.0, 0.0], [0.0, 1.5]])
 
 
 # Random small Kronecker-sum problems, including K = 1 and d_k = 1.

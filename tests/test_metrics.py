@@ -234,6 +234,19 @@ class TestExperimentSpec:
             with pytest.raises(ValueError, match="edges"):
                 ExperimentSpec(model="er", dims=Dims([4, 4]), edges=edges)
 
+    def test_cells_built_once_from_its_ratios(self):
+        # a ratio scales the rho_bar of every factor after the first, in (rho_bar, ratio) order
+        spec = ExperimentSpec(model="er", dims=Dims([3, 3, 3]), n_list=(2, 5),
+                              rho_grid=(0.1, 0.3), rho_ratios=(0.5, 2.0), max_iter=7)
+        assert [(rb, r, c.rho_bar, c.max_iter) for rb, r, c in spec.cells] == [
+            (rb, r, (rb, rb * r, rb * r), 7) for rb in (0.1, 0.3) for r in (0.5, 2.0)]
+        assert ExperimentSpec(model="er", dims=Dims([3, 3])).rho_ratios == (1.0,)
+        # every cell's penalties, at every n: 1e308 * m_k overflows in resolve_rho
+        for ratios in ((1.0, -2.0), (math.nan,), (1e308,)):
+            with pytest.raises(ValueError, match="rho"):
+                ExperimentSpec(model="er", dims=Dims([30, 30]), n_list=(1, 1000),
+                               rho_grid=(1.0,), rho_ratios=ratios)
+
     def test_make_truth_models(self):
         dims = Dims([9, 9])
         for model in ("er", "grid", "ar1"):
@@ -331,11 +344,12 @@ class TestExperiments:
             dims=Dims([6, 6]),
             n_list=(10,),
             rho_grid=(0.1,),
+            rho_ratios=(0.5, 1.0, 2.0),
             trials=2,
             seed=2,
             max_iter=100,
         )
-        rows = tuning_sweep(spec, rho_ratios=(0.5, 1.0, 2.0))
+        rows = tuning_sweep(spec)
         assert len(rows) == 3
         assert [r["ratio"] for r in rows] == [0.5, 1.0, 2.0]
 

@@ -91,6 +91,7 @@ class TestConfig:
             {"rho_bar": float("nan")},
             {"rho_bar": (0.3, float("inf"))},
             {"tol_kkt": float("nan")},
+            {"tol_kkt": float("inf")},
         ],
     )
     def test_invalid(self, kwargs):

@@ -17,10 +17,13 @@ commit.  Per workload the snapshot holds:
   untraced runs, with the runs themselves;
 - ``traced_ms``: the per-layer times of the traced run (one run, so no spread);
 - ``env``: the ``#`` line of the first untraced run (rounds, nproc, numpy, BLAS
-  threads).
+  threads);
+- ``traced_env``: the ``#`` line of the traced run, whose ``rounds`` the
+  traced counters were divided by.
 
-Two snapshots made on one machine compare counters exactly; a timing delta
-inside the parent's Q1-Q3 is unresolved.  Uses the standard library only.
+Two snapshots made on one machine compare counters exactly, and a count of
+cached work only at equal traced ``rounds``; a timing delta inside the
+parent's Q1-Q3 is unresolved.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def spread(values: list[float]) -> dict:
 
 
 def snapshot(root: Path, workload: str, seconds: float, runs: int) -> dict:
-    _, traced = bench(root, workload, seconds, trace=1)
+    traced_env, traced = bench(root, workload, seconds, trace=1)
     envs, results = zip(*(bench(root, workload, seconds, trace=0) for _ in range(runs)))
     counters = {}
     for name in COUNTERS:
@@ -88,6 +91,7 @@ def snapshot(root: Path, workload: str, seconds: float, runs: int) -> dict:
                     for k, m in results[0].items() if k not in COUNTERS},
         "traced_ms": {k: m["value"] for k, m in traced.items() if m["unit"] == "ms"},
         "env": envs[0],
+        "traced_env": traced_env,
     }
 
 
