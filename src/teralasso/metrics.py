@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ar1_factor, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
+from .data import ar1_factor, check_seed, er_factor, grid_factor, gram_factors, sample_ksum_gaussian
 from .ksum import Dims, FactorSet, _check_same_dims, eigsum_absmax, ksum_frobenius
 from .solver import SolverConfig, resolve_rho, solve
 
@@ -128,6 +128,8 @@ class ExperimentSpec:
             raise ValueError("counts must be positive")
         if self.edges and len(self.edges) != self.dims.K:
             raise ValueError(f"edges needs one count per factor ({self.dims.K}), got {self.edges}")
+        if not 0 <= check_seed(self.seed) < 2**31:  # where _trial_seed's mod 2^31 is injective
+            raise ValueError(f"seed {self.seed} is outside [0, 2**31)")
         # the other rules through their owners, before any data set is drawn: the
         # generators' (AR coefficient, edge counts, grid side) and the solver's at every n
         _truth_factors(self, 0)

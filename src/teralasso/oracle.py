@@ -23,8 +23,6 @@ __all__ = [
 
 ORACLE_P_LIMIT = 64
 ORACLE_SOLVER_P_LIMIT = 36
-# dense_solver halves a step at most this often before it takes the safe step
-_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class DenseProblem:
             raise ValueError(f"s_hat must be {p}x{p}")
         if rho.shape != (dims.K,):
             raise ValueError(f"rho must have length {dims.K}")
-        # before any arithmetic on them: a NaN passes every comparison below, and
-        # dense_solver's steps from Omega = I overflowed on entries from 1e8 on
+        # before any arithmetic: a NaN passes every comparison below; dense_solver overflows
+        # on the way to 1e200, and at large scale its absolute tol can be out of reach
         if not np.abs(s_hat).max() <= 1e6:
             raise ValueError("s_hat has non-finite entries or entries beyond 1e+06")
         if not (np.isfinite(rho).all() and (rho >= 0).all()):
@@ -121,8 +119,9 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
     iterates' dense differences (the previous stepsize on nonpositive
     curvature) and is halved until the candidate is positive definite by its
     Cholesky factor and its smooth objective lies under the quadratic model.
-    After ``_MAX_HALVINGS`` rejections the conservative step
-    0.5 * lambda_min(Omega)^2 is taken unconditionally.
+    The halving ends on finite arithmetic, which ``DenseProblem``'s bound on
+    ``s_hat`` keeps: a small enough stepsize keeps the candidate positive
+    definite and, by the descent lemma, under the model (its slack covers rounding).
 
     Returns (omega, converged flag).  Reference optimum for the fast solver."""
     dims = problem.dims
@@ -133,9 +132,9 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
     smooth = _dense_smooth(omega, 0.0, problem)
     dense_grad = problem.s_hat - np.eye(p)  # S_hat - Omega^{-1}
     grad = proj_ksum_dense(dense_grad, dims)
-    zeta = 0.5  # 0.5 * lambda_min(I)^2
+    zeta = 0.5  # the first trial stepsize; every reference iterate's bits follow from it
     for _ in range(max_iter):
-        for _ in range(_MAX_HALVINGS):
+        while True:
             new_f, new_omega, logdet = _prox_step(f, grad, zeta, problem)
             new_smooth = _dense_smooth(new_omega, logdet, problem)
             d = new_omega - omega
@@ -144,10 +143,6 @@ def dense_solver(problem: DenseProblem, max_iter: int = 100_000, tol: float = 1e
             if new_smooth <= q + 1e-12 * (abs(q) + 1.0):
                 break
             zeta *= 0.5
-        else:
-            zeta = 0.5 * np.linalg.eigvalsh(omega).min() ** 2
-            new_f, new_omega, logdet = _prox_step(f, grad, zeta, problem)
-            new_smooth = _dense_smooth(new_omega, logdet, problem)
         # one inverse per iterate serves its KKT test and its gradient
         new_dense_grad = problem.s_hat - np.linalg.inv(new_omega)
         new_grad = proj_ksum_dense(new_dense_grad, dims)

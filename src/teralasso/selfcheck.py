@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .data import DataTensorSet, gram_factors, sample_ksum_gaussian
+from .data import DataTensorSet, check_seed, gram_factors, sample_ksum_gaussian
 from .ksum import Dims, FactorSet, kron_sum_dense, proj_ksum_dense
 from .oracle import DenseProblem, basis_projection, dense_objective, rearrange_rk
 from .solver import objective, subspace_gradient
@@ -104,6 +104,7 @@ CHECKS = [
 
 def run_selfcheck(seed: int = 0) -> list[tuple[str, float, float, bool]]:
     """Run every named check; returns (name, value, tolerance, passed) rows."""
+    seed = check_seed(seed)
     results = []
     for name, fn, tol in CHECKS:
         rng = np.random.Generator(np.random.Philox(key=[seed, zlib.crc32(name.encode())]))

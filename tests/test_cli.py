@@ -444,10 +444,15 @@ class TestBadInput:
             ["evaluate", "--truth", "{missing}", "--estimate", "{missing}"],
             # a solve stopped by an infinite tolerance would report convergence it never reached
             ["estimate", "--data", "{data}", "--tol-kkt", "inf"],
+            # trial seeds are taken mod 2**31: 2**31 would rerun seed 0's sweep
+            ["sweep", "--kind", "tuning", "--dims", "4,4", "--n", "3", "--rho-grid", "0.1",
+             "--trials", "2", "--max-iter", "50", "--seed", "2147483648"],
+            ["sweep", "--kind", "tuning", "--dims", "4,4", "--n", "3", "--rho-grid", "0.1",
+             "--trials", "2", "--max-iter", "50", "--seed=-1180591620717411303424"],
         ],
         ids=["ar-coeff-one", "too-many-edges", "grid-side", "rho-grid-nan", "rho-grid-negative",
              "rate-p-equals-1", "negative-ratio", "missing-data", "missing-truth",
-             "tol-kkt-inf"],
+             "tol-kkt-inf", "sweep-seed-2-31", "sweep-seed-negative"],
     )
     def test_fails_before_out(self, tmp_path, monkeypatch, capsys, argv):
         # each rule is checked before --out is made, and a sweep's before any data set is drawn
@@ -481,6 +486,28 @@ class TestBadInput:
                     "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1 and f"config {cfg}" in err and needle in err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [("evaluate", {"truth": 5, "estimate": "5"}, "truth"),
+         ("estimate", {"data": None}, "data"),
+         ("estimate", {"data": 0.5}, "data"),
+         ("evaluate", {"truth": "5", "estimate": None}, "estimate")],
+        ids=["truth-number", "data-null", "data-float", "estimate-null"],
+    )
+    def test_path_key_takes_a_string(self, tmp_path, monkeypatch, capsys, command, config, key):
+        # a valid factor file named 5 is there to read: the number is not its name
+        assert run(["generate", "--dims", "3,3", "--n", "2", "--out", str(tmp_path)]) == 0
+        (tmp_path / "truth.json").rename(tmp_path / "5")
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and f"for config key '{key}'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

@@ -233,6 +233,14 @@ class TestExperimentSpec:
         for edges in ((3,), (3, 3, 3)):  # one count per factor, never truncated
             with pytest.raises(ValueError, match="edges"):
                 ExperimentSpec(model="er", dims=Dims([4, 4]), edges=edges)
+        # trial seeds are taken mod 2**31, so seeds 2**31 apart would draw the same data
+        for seed in (-1, 2**31, -(2**70)):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\*\*31\)|signed 64-bit"):
+                ExperimentSpec(model="er", dims=Dims([4, 4]), seed=seed)
+        for seed in (1.7, True, "3"):
+            with pytest.raises(ValueError, match="not an integer"):
+                ExperimentSpec(model="er", dims=Dims([4, 4]), seed=seed)
+        assert ExperimentSpec(model="er", dims=Dims([4, 4]), seed=2**31 - 1).seed == 2**31 - 1
 
     def test_cells_built_once_from_its_ratios(self):
         # a ratio scales the rho_bar of every factor after the first, in (rho_bar, ratio) order

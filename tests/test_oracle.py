@@ -222,18 +222,17 @@ class TestDenseSolver:
             assert value == kkt(proj_ksum_dense(kron_sum_dense(f), f.dims), prob, grad)
         assert len(iterates) > len(problems)
 
-    def test_safe_step_fallback_converges(self, monkeypatch):
-        # with no halvings every step is the safe 0.5 * lambda_min^2 one; a
-        # well-conditioned S_hat keeps those steps long
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((9, 27))
-        prob = DenseProblem(Dims([3, 3]), M @ M.T / 27, np.full(2, 0.1))
-        ref, _ = dense_solver(prob)
-        monkeypatch.setattr(teralasso.oracle, "_MAX_HALVINGS", 0)
-        omega, converged = dense_solver(prob)
-        assert converged
+    @pytest.mark.parametrize("max_iter", [2, 5])
+    def test_large_s_hat_keeps_omega_pd(self, max_iter):
+        # built past DenseProblem's 1e6 bound, where the optimum is 1e-9 I and the
+        # absolute tol is out of reach: every accepted iterate still passed the PD test
+        prob = object.__new__(DenseProblem)
+        for name, value in (("dims", Dims([2, 2])), ("s_hat", 1e9 * np.eye(4)),
+                            ("rho", np.full(2, 0.1))):
+            object.__setattr__(prob, name, value)
+        omega, converged = dense_solver(prob, max_iter=max_iter)
+        assert not converged
         assert np.linalg.eigvalsh(omega).min() > 0
-        np.testing.assert_allclose(omega, ref, atol=1e-6)
 
 
 class TestCholeskyStep:
@@ -340,6 +339,15 @@ class TestSelfcheck:
         a = run_selfcheck(seed=1)
         b = run_selfcheck(seed=1)
         assert a == b
+
+    @pytest.mark.parametrize("seed, match", [(1.7, "not an integer"), (True, "not an integer"),
+                                             (2**64, "signed 64-bit")])
+    def test_rejects_non_seeds(self, seed, match):
+        # the battery's seed follows the integer rule of every seed, checked before any draw
+        from teralasso.selfcheck import run_selfcheck
+
+        with pytest.raises(ValueError, match=match):
+            run_selfcheck(seed=seed)
 
     def test_fault_injection_detected(self, monkeypatch):
         import teralasso.selfcheck
