@@ -45,14 +45,18 @@ def _load_config(path):
     return config
 
 
-def _resolve(args, config):
-    """Merge config-file values and CLI flags; flags win.
+def _resolve(args):
+    """Merge the ``--config`` file's values and CLI flags; flags win.
 
     A config value is read as its flag's text would be (a list as
     comma-separated items) and kept as written when it equals that reading,
     so ``1`` stays ``1`` in manifests and CSVs.  A config key the command
     does not read is an error, and so is a required key that neither gives.
     """
+    for key, val in vars(args).items():
+        if val == []:  # --key=--, which argparse hands on unconverted
+            raise ValueError(f"{args.command}: --{key.replace('_', '-')} was given no value")
+    config = _load_config(args.config)
     _, required, params = COMMANDS[args.command]
     unknown = sorted(set(config) - set(params))
     if unknown:
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        resolved = _resolve(args, _load_config(args.config))
+        resolved = _resolve(args)
         # looked up when it runs, so a rebound cmd_<name> is the one that runs
         code = globals()[f"cmd_{args.command}"](args, resolved)
         # the run's record, for every command with an --out, on exit 2 too

@@ -126,6 +126,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.trials < 1 or any(n < 1 for n in self.n_list):
             raise ValueError("counts must be positive")
+        for name in ("n_list", "rho_grid", "rho_ratios"):  # a sweep of no cells
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if self.edges and len(self.edges) != self.dims.K:
             raise ValueError(f"edges needs one count per factor ({self.dims.K}), got {self.edges}")
         if not 0 <= check_seed(self.seed) < 2**31:  # where _trial_seed's mod 2^31 is injective

@@ -177,11 +177,12 @@ def line_search(
     ``ref_total`` = F(f) gives the monotone rule.  Every PD candidate under the
     quadratic model F_s(f) + <delta, grad> + <delta, delta> / (2 zeta) of the
     smooth part F_s satisfies it with sigma = 1 and any ref_total >= F(f), so it
-    accepts every step that test accepts.  After ``SolverConfig.max_backtracks``
-    rejections the safe step min(a^2, (min eigenvalue of Omega_t)^2) is tried,
-    with a the lower bound 1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues
-    of every iterate.  Each candidate carries its own spectrum, so a rejected
-    one's is dropped with it and the accepted one's lives on the iterate.
+    accepts every step that test accepts.  The last of the search's
+    ``SolverConfig.max_backtracks`` + 1 trials is the safe step
+    min(a^2, (min eigenvalue of Omega_t)^2), with a the lower bound
+    1 / sum_k (||S_k||_2 + d_k rho_k) on the eigenvalues of every iterate, and
+    only its rejection raises.  Each candidate carries its own spectrum, so a
+    rejected one's is dropped with it and the accepted one's lives on the iterate.
 
     Returns (candidate, candidate objective F, candidate gradient, accepted
     zeta, number of backtracks, <delta, delta> of the accepted step).
@@ -189,34 +190,22 @@ def line_search(
     if zeta_start <= 0:
         raise ValueError("zeta_start must be positive")
     slack = 1e-12 * (abs(ref_total) + 1.0)  # rounding in the two objectives
-
-    def attempt(zeta, backtracks):
-        cand = ista_step(f, grad, rho, zeta)
-        if not cand.spectrum.min_sum > 0:
-            return None
-        cand_total = objective(cand, g, rho)
-        delta = cand - f
-        dd = ksum_inner(delta, delta)
-        if cand_total <= ref_total - _SIGMA / (2.0 * zeta) * dd + slack:
-            return cand, cand_total, subspace_gradient(cand, g), zeta, backtracks, dd
-        return None
-
     zeta = zeta_start
-    for j in range(SolverConfig.max_backtracks):
-        got = attempt(zeta, j)
-        if got is not None:
-            return got
+    for backtracks in range(SolverConfig.max_backtracks + 1):
+        if backtracks == SolverConfig.max_backtracks:  # the last trial is the safe step
+            # S_k is PSD, so its spectral norm is its largest eigenvalue
+            bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, g.dims.d, rho))
+            a = 1.0 / bound if bound > 0 else math.inf
+            zeta = min(a, f.spectrum.min_sum) ** 2
+        cand = ista_step(f, grad, rho, zeta)
+        if cand.spectrum.min_sum > 0:  # a NaN spectrum fails
+            cand_total = objective(cand, g, rho)
+            delta = cand - f
+            dd = ksum_inner(delta, delta)
+            if cand_total <= ref_total - _SIGMA / (2.0 * zeta) * dd + slack:
+                return cand, cand_total, subspace_gradient(cand, g), zeta, backtracks, dd
         zeta = _BACKTRACK_C * zeta
-    # S_k is PSD, so its spectral norm is its largest eigenvalue
-    bound = sum(np.linalg.eigvalsh(s)[-1] + d * r for s, d, r in zip(g.s, g.dims.d, rho))
-    a = 1.0 / bound if bound > 0 else math.inf
-    zeta_safe = min(a, f.spectrum.min_sum) ** 2
-    got = attempt(zeta_safe, SolverConfig.max_backtracks)
-    if got is None:
-        raise RuntimeError(
-            "line search failed even at the safe step; iterate is corrupted"
-        )
-    return got
+    raise RuntimeError("line search failed even at the safe step; iterate is corrupted")
 
 
 def bb_stepsize(

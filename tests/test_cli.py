@@ -473,6 +473,26 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for command, (_, _, params) in teralasso.cli.COMMANDS.items()
+         for key in (*params, "config", "out")
+         if key not in teralasso.cli._CONFIG_ONLY and (command, key) != ("selfcheck", "out")],
+    )
+    def test_flag_given_no_value(self, tmp_path, monkeypatch, capsys, command, key):
+        # argparse reads --key=-- as [], strips the "--" and skips the flag's type:
+        # the flag is named before the config is read or any command runs
+        monkeypatch.chdir(tmp_path)  # where a bare --out=-- would write
+        out = tmp_path / "out"
+        argv = [command, f"--{key}=--"]
+        if command != "selfcheck" and key != "out":
+            argv += ["--out", str(out)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"--{key} " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "text, needle",
         [(None, "cannot read config"), ('{"dims": [4, 4],', "cannot read config"),
          ("[1, 2]", "is not a JSON object")],

@@ -242,6 +242,12 @@ class TestExperimentSpec:
                 ExperimentSpec(model="er", dims=Dims([4, 4]), seed=seed)
         assert ExperimentSpec(model="er", dims=Dims([4, 4]), seed=2**31 - 1).seed == 2**31 - 1
 
+    def test_empty_lists_rejected_by_name(self):
+        # a sweep with no n, no rho_bar or no ratio has no cells to run
+        for name in ("n_list", "rho_grid", "rho_ratios"):
+            with pytest.raises(ValueError, match=f"{name} must not be empty"):
+                ExperimentSpec(model="er", dims=Dims([4, 4]), **{name: ()})
+
     def test_cells_built_once_from_its_ratios(self):
         # a ratio scales the rho_bar of every factor after the first, in (rho_bar, ratio) order
         spec = ExperimentSpec(model="er", dims=Dims([3, 3, 3]), n_list=(2, 5),

@@ -320,6 +320,31 @@ class TestStepAndLineSearch:
         assert zeta == pytest.approx(min(a, ksum_eigensystem(f).min_sum) ** 2)
         assert bts == 0
 
+    def test_trial_sequence_and_its_one_exit(self, monkeypatch):
+        # with every objective NaN each trial is rejected: zeta_start * {1, 1/2, 1/4},
+        # then the safe step min(a, min eig)^2 as the last trial, then one raise
+        monkeypatch.setattr(SolverConfig, "max_backtracks", 3)
+        dims = Dims([3, 4])
+        _, g = random_problem(dims, n=2, seed=21)
+        f = FactorSet.identity(dims)
+        rho = [0.1, 0.1]
+        grad = subspace_gradient(f, g)
+        base_total = objective(f, g, rho)
+        zetas = []
+        step = teralasso.solver.ista_step
+
+        def recording_step(f, grad, rho, zeta):
+            zetas.append(zeta)
+            return step(f, grad, rho, zeta)
+
+        monkeypatch.setattr(teralasso.solver, "ista_step", recording_step)
+        monkeypatch.setattr(teralasso.solver, "objective", lambda *args: np.nan)
+        with pytest.raises(RuntimeError, match="safe step"):
+            line_search(f, g, grad, rho, 0.3, base_total)
+        assert zetas[:3] == [0.3, 0.15, 0.075]
+        safe = min(eig_bound(g, rho), f.spectrum.min_sum) ** 2
+        assert len(zetas) == 4 and zetas[3] == pytest.approx(safe, rel=1e-12)
+
     def test_safe_step_reuses_the_iterate_spectrum(self, monkeypatch):
         # the iterate's spectrum, read by its gradient and objective, also
         # gives the safe step: the only new eigensystem is the candidate's
